@@ -24,6 +24,9 @@ def _load_program(path: str) -> Program | None:
     except OSError as err:
         print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as err:
+        print(f"error: cannot read {path}: {err}", file=sys.stderr)
+        return None
     try:
         program = parse_program(source)
     except ParseError as err:
@@ -53,7 +56,7 @@ def cmd_run(path: str, budget: int = DEFAULT_BUDGET, trace_path: str | None = No
     program = _load_program(path)
     if program is None:
         return 2
-    interp = Interpreter(program, budget=budget)
+    interp = Interpreter(program, budget=budget, trace=trace_path is not None)
     outcome = interp.run()
     if trace_path is not None:
         try:

@@ -41,7 +41,6 @@ from .syntax import (
     AssignGlobal,
     AssignLocal,
     Binary,
-    Expr,
     If,
     IntLit,
     Method,
@@ -51,7 +50,6 @@ from .syntax import (
     Return,
     Run,
     Seq,
-    Stmt,
     Synch,
     Unary,
     Var,
@@ -125,16 +123,64 @@ class Failed:
 Outcome = Finished | Failed
 
 
+def _div(a: int, b: int) -> int:
+    """Division truncating toward zero; a zero ``b`` raises ZeroDivisionError."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+class _Dispatch(dict):
+    """Handlers keyed by node type or operator; a missing key raises ``error``."""
+
+    def __init__(self, handlers: dict, error: type[Exception], message: str):
+        super().__init__(handlers)
+        self.error = error
+        self.message = message
+
+    def __missing__(self, key):
+        raise self.error(self.message.format(key))
+
+
+# Binary operators on Python ints, before the signed 64-bit range check.
+_BINARY = _Dispatch({
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _div,
+    "%": lambda a, b: a - _div(a, b) * b,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "and": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "or": lambda a, b: 1 if a != 0 or b != 0 else 0,
+}, ValueError, "unknown operator {!r}")
+
+
 class Interpreter:
     """One program execution; fields are the live machine state.
 
     ``store``, ``postlist``, ``stack``, ``step_count`` and ``trace``
     stay inspectable after ``run`` returns, which the test suite uses
     to audit terminal states.
+
+    With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
+    ``[]`` and so does the outcome's, while the outcome, the store and
+    ``step_count`` are the same as with ``trace=True``.
+
+    The walker dispatches on ``type(node)`` through two handler tables.
+    Each statement handler takes its own step and calls the handlers of
+    its children directly, so one level of statement nesting costs one
+    Python frame.  A statement handler returns True when control falls
+    through to the next statement and False when a ``return()`` unwound
+    the active frame; an expression handler returns the value over the
+    global and the ``active`` method's local.
     """
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
-                 postlist=None):
+                 postlist=None, trace: bool = True):
         self.program = program
         self.methods = {m.name: m for m in program.methods}
         self.budget = budget
@@ -143,8 +189,20 @@ class Interpreter:
         self.stack: list[str] = []
         self.step_count = 0
         self.trace: list[TraceEvent] = []
+        self._tracing = trace
         self._post_seq = 0
         self._event_seq = 0
+        self._local_of = {m.name: m.local for m in program.methods}
+        self._eval = _Dispatch({
+            IntLit: self._eval_int, Var: self._eval_var,
+            Unary: self._eval_unary, Binary: self._eval_binary,
+        }, TypeError, "not an expression: {!r}")
+        self._exec = _Dispatch({
+            Seq: self._exec_seq, AssignGlobal: self._exec_assign_global,
+            AssignLocal: self._exec_assign_local, Provided: self._exec_provided,
+            If: self._exec_if, While: self._exec_while, Run: self._exec_run,
+            Return: self._exec_return, Synch: self._exec_synch,
+        }, TypeError, "not a statement: {!r}")
 
     # -- bookkeeping --
 
@@ -152,163 +210,163 @@ class Interpreter:
         self._event_seq += 1
         self.trace.append(TraceEvent(self._event_seq, kind, method, value, priority))
 
-    def _tick(self, line: int, col: int):
+    def _tick(self, node):
         if self.step_count >= self.budget:
-            raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            raise ExecFailure(STEP_BUDGET_EXHAUSTED, node.line, node.col)
         self.step_count += 1
-
-    def _check64(self, value: int, at: Expr) -> int:
-        if value < I64_MIN or value > I64_MAX:
-            raise ExecFailure(ARITH_OVERFLOW, at.line, at.col)
-        return value
 
     # -- expressions --
 
-    def eval_expr(self, expr: Expr, active: str) -> int:
-        """Evaluate over the global and the active method's local."""
-        match expr:
-            case IntLit(value):
-                return value
-            case Var(name):
-                if name == self.program.global_name:
-                    return self.store.global_value
-                if active in self.methods and name == self.methods[active].local:
-                    return self.store.locals[active]
-                raise ValueError(f"variable {name!r} is not in scope of {active!r}")
-            case Unary(op, operand):
-                v = self.eval_expr(operand, active)
-                if op == "-":
-                    return self._check64(-v, expr)
-                return 0 if v != 0 else 1
-            case Binary(op, left, right):
-                a = self.eval_expr(left, active)
-                b = self.eval_expr(right, active)
-                return self._apply_binary(op, a, b, expr)
-        raise TypeError(f"not an expression: {expr!r}")
+    def _eval_int(self, expr: IntLit, active: str) -> int:
+        return expr.value
 
-    def _apply_binary(self, op: str, a: int, b: int, at: Expr) -> int:
-        if op == "+":
-            return self._check64(a + b, at)
-        if op == "-":
-            return self._check64(a - b, at)
-        if op == "*":
-            return self._check64(a * b, at)
-        if op in ("/", "%"):
-            if b == 0:
-                raise ExecFailure(DIVISION_BY_ZERO, at.line, at.col)
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            if op == "/":
-                return self._check64(q, at)
-            return self._check64(a - q * b, at)
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        if op == "and":
-            return 1 if a != 0 and b != 0 else 0
-        if op == "or":
-            return 1 if a != 0 or b != 0 else 0
-        raise ValueError(f"unknown operator {op!r}")
+    def _eval_var(self, expr: Var, active: str) -> int:
+        name = expr.name
+        if name == self.program.global_name:
+            return self.store.global_value
+        if name == self._local_of.get(active):
+            return self.store.locals[active]
+        raise ValueError(f"variable {name!r} is not in scope of {active!r}")
+
+    def _eval_unary(self, expr: Unary, active: str) -> int:
+        operand = expr.operand
+        v = self._eval[type(operand)](operand, active)
+        if expr.op != "-":
+            return 0 if v != 0 else 1
+        v = -v
+        if v < I64_MIN or v > I64_MAX:
+            raise ExecFailure(ARITH_OVERFLOW, expr.line, expr.col)
+        return v
+
+    def _eval_binary(self, expr: Binary, active: str) -> int:
+        left, right = expr.left, expr.right
+        a = self._eval[type(left)](left, active)
+        b = self._eval[type(right)](right, active)
+        try:
+            v = _BINARY[expr.op](a, b)
+        except ZeroDivisionError:
+            raise ExecFailure(DIVISION_BY_ZERO, expr.line, expr.col) from None
+        if v < I64_MIN or v > I64_MAX:
+            raise ExecFailure(ARITH_OVERFLOW, expr.line, expr.col)
+        return v
 
     # -- statements --
 
-    def exec_stmt(self, stmt: Stmt) -> bool:
-        """Execute one statement under the current active frame.
-
-        Returns True when control falls through to the next statement,
-        False when a return() unwound the active frame.
-        """
-        self._tick(stmt.line, stmt.col)
-        active = self.stack[-1]
-        match stmt:
-            case Seq(stmts):
-                for sub in stmts:
-                    if not self.exec_stmt(sub):
-                        return False
-                return True
-            case AssignGlobal(_, expr):
-                v = self.eval_expr(expr, active)
-                self.store.global_value = v
-                self._emit("assign-global", method=active, value=v)
-                return True
-            case AssignLocal(_, expr):
-                self.store.locals[active] = self.eval_expr(expr, active)
-                return True
-            case Provided(expr):
-                if self.eval_expr(expr, active) == 0:
-                    raise ExecFailure(PROVIDED_FAILED, stmt.line, stmt.col)
-                return True
-            case If(cond, then, orelse):
-                taken = then if self.eval_expr(cond, active) != 0 else orelse
-                return self.exec_stmt(taken)
-            case While(cond, body):
-                while self.eval_expr(cond, active) != 0:
-                    if not self.exec_stmt(body):
-                        return False
-                    self._tick(stmt.line, stmt.col)
-                return True
-            case Run(method, arg):
-                v = self.eval_expr(arg, active)
-                if method not in self.methods:
-                    raise ValueError(f"method {method!r} is not declared")
-                self.store.locals[method] = v
-                self._emit("run-call", method=method, value=v)
-                self.stack.append(method)
-                if self.exec_stmt(self.methods[method].body):
-                    # Implicit return: body fell off the end.
-                    self.stack.pop()
-                    self._emit("return", method=method)
-                return True
-            case Return():
-                popped = self.stack.pop()
-                self._emit("return", method=popped)
+    def _exec_seq(self, stmt: Seq) -> bool:
+        self._tick(stmt)
+        handlers = self._exec
+        for sub in stmt.stmts:
+            if not handlers[type(sub)](sub):
                 return False
-            case Synch(method, arg, priority):
-                if method not in self.methods:
-                    raise ValueError(f"method {method!r} is not declared")
-                v = self.eval_expr(arg, active)
-                self._post_seq += 1
-                node = AsynchNode(method, arg, v, priority, self._post_seq)
-                self.postlist = self.postlist.add(node)
-                self._emit("post", method=method, value=v, priority=priority)
-                return True
-        raise TypeError(f"not a statement: {stmt!r}")
+        return True
+
+    def _exec_assign_global(self, stmt: AssignGlobal) -> bool:
+        self._tick(stmt)
+        active = self.stack[-1]
+        expr = stmt.expr
+        v = self.store.global_value = self._eval[type(expr)](expr, active)
+        if self._tracing:
+            self._emit("assign-global", active, v)
+        return True
+
+    def _exec_assign_local(self, stmt: AssignLocal) -> bool:
+        self._tick(stmt)
+        active = self.stack[-1]
+        expr = stmt.expr
+        self.store.locals[active] = self._eval[type(expr)](expr, active)
+        return True
+
+    def _exec_provided(self, stmt: Provided) -> bool:
+        self._tick(stmt)
+        expr = stmt.expr
+        if self._eval[type(expr)](expr, self.stack[-1]) == 0:
+            raise ExecFailure(PROVIDED_FAILED, stmt.line, stmt.col)
+        return True
+
+    def _exec_if(self, stmt: If) -> bool:
+        self._tick(stmt)
+        cond = stmt.cond
+        taken = stmt.then if self._eval[type(cond)](cond, self.stack[-1]) != 0 else stmt.orelse
+        return self._exec[type(taken)](taken)
+
+    def _exec_while(self, stmt: While) -> bool:
+        self._tick(stmt)
+        active = self.stack[-1]
+        cond, body = stmt.cond, stmt.body
+        test, run_body = self._eval[type(cond)], self._exec[type(body)]
+        while test(cond, active) != 0:
+            if not run_body(body):
+                return False
+            self._tick(stmt)
+        return True
+
+    def _exec_run(self, stmt: Run) -> bool:
+        self._tick(stmt)
+        arg, method = stmt.arg, stmt.method
+        v = self._eval[type(arg)](arg, self.stack[-1])
+        if method not in self.methods:
+            raise ValueError(f"method {method!r} is not declared")
+        self.store.locals[method] = v
+        if self._tracing:
+            self._emit("run-call", method, v)
+        # ``_activate`` inlined, so a run chain costs no extra frame per level.
+        self.stack.append(method)
+        body = self.methods[method].body
+        if self._exec[type(body)](body):
+            self.stack.pop()
+            if self._tracing:
+                self._emit("return", method)
+        return True
+
+    def _exec_return(self, stmt: Return) -> bool:
+        self._tick(stmt)
+        popped = self.stack.pop()
+        if self._tracing:
+            self._emit("return", popped)
+        return False
+
+    def _exec_synch(self, stmt: Synch) -> bool:
+        self._tick(stmt)
+        arg, method = stmt.arg, stmt.method
+        if method not in self.methods:
+            raise ValueError(f"method {method!r} is not declared")
+        v = self._eval[type(arg)](arg, self.stack[-1])
+        self._post_seq += 1
+        node = AsynchNode(method, arg, v, stmt.priority, self._post_seq)
+        self.postlist = self.postlist.add(node)
+        if self._tracing:
+            self._emit("post", method, v, stmt.priority)
+        return True
 
     # -- methods, dispatch, whole programs --
 
-    def run_top_level_method(self, method: Method):
-        """One startup activation: push, run the body, pop."""
-        self._tick(method.line, method.col)
-        self._emit("method-start", method=method.name)
-        self.stack.append(method.name)
-        if self.exec_stmt(method.body):
+    def _activate(self, method: str, body: Seq):
+        """Push a frame, run the body, and pop it if it ran off the end."""
+        self.stack.append(method)
+        if self._exec[type(body)](body):
             # Implicit return: every activation closes with one return event.
             self.stack.pop()
-            self._emit("return", method=method.name)
-        self._emit("method-end", method=method.name)
+            if self._tracing:
+                self._emit("return", method)
+
+    def run_top_level_method(self, method: Method):
+        """One startup activation: push, run the body, pop."""
+        self._tick(method)
+        if self._tracing:
+            self._emit("method-start", method.name)
+        self._activate(method.name, method.body)
+        if self._tracing:
+            self._emit("method-end", method.name)
 
     def dispatch_loop(self):
         """Drain the post queue: highest priority first, FIFO within."""
         while not self.postlist.is_empty():
             node, self.postlist = self.postlist.remove_first()
-            self._tick(node.arg_expr.line, node.arg_expr.col)
+            self._tick(node.arg_expr)
             self.store.locals[node.method] = node.arg_value
-            self._emit("dispatch", method=node.method, value=node.arg_value,
-                       priority=node.priority)
-            self.stack.append(node.method)
-            if self.exec_stmt(self.methods[node.method].body):
-                self.stack.pop()
-                self._emit("return", method=node.method)
+            if self._tracing:
+                self._emit("dispatch", node.method, node.arg_value, node.priority)
+            self._activate(node.method, self.methods[node.method].body)
 
     def run(self) -> Outcome:
         """Startup phase, then drain; the program must be scope-valid."""
@@ -317,9 +375,10 @@ class Interpreter:
                 self.run_top_level_method(method)
             self.dispatch_loop()
         except ExecFailure as failure:
-            active = self.stack[-1] if self.stack else None
-            kind = "provided-fail" if failure.kind == PROVIDED_FAILED else "error"
-            self._emit(kind, method=active)
+            if self._tracing:
+                active = self.stack[-1] if self.stack else None
+                kind = "provided-fail" if failure.kind == PROVIDED_FAILED else "error"
+                self._emit(kind, active)
             return Failed(failure.kind, failure.line, failure.col, self.trace)
         return Finished(self.store.global_value, self.trace)
 

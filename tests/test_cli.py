@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from priopost import ast_to_dict, parse_program, pretty_print
+from priopost import ast_to_dict, parse_program, pretty_print, run_program, trace_to_jsonl
 from priopost.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -73,6 +73,19 @@ def test_run_writes_trace_file(tmp_path, capsys):
     assert {"method-start", "post", "dispatch", "assign-global"} <= kinds
 
 
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ap")), ids=lambda p: p.name)
+def test_run_trace_file_matches_library_trace(tmp_path, capsys, path):
+    # The library trace is pinned by the behaviour lock; the CLI must
+    # write it byte for byte, and print the same with or without --trace.
+    trace = tmp_path / "out.jsonl"
+    code = run_cli("run", path, "--trace", trace)
+    traced_out = capsys.readouterr().out
+    assert run_cli("run", path) == code
+    assert capsys.readouterr().out == traced_out
+    expected = trace_to_jsonl(run_program(parse_program(path.read_text(encoding="utf-8"))))
+    assert trace.read_bytes() == expected.encode("utf-8")
+
+
 def test_run_trace_written_even_on_failure(tmp_path, capsys):
     trace = tmp_path / "out.jsonl"
     assert run_cli("run", PROGRAMS / "provided_zero.ap", "--trace", trace) == 1
@@ -107,6 +120,17 @@ def test_run_missing_file(capsys):
     assert run_cli("run", PROGRAMS / "nope.ap") == 2
     err = capsys.readouterr().err
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["run", "parse", "analyze"])
+def test_non_utf8_file_is_a_read_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.ap"
+    bad.write_bytes("global g; // caf\u00e9\nmeth m(x) { g := 1; }\n".encode("latin-1"))
+    assert run_cli(command, bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_run_unwritable_trace_path(tmp_path, capsys):
@@ -197,6 +221,18 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_run_chain_240_deep_finishes(tmp_path):
+    # Each run level nests four statements (body, if, branch, run); the
+    # default recursion limit must still leave room for 240 levels.
+    src = tmp_path / "deep.ap"
+    src.write_text("global g;\n"
+                   "meth f(x) { if x > 0 { run f(x - 1); } else { } g := g + 1; }\n"
+                   "meth main(x) { run f(240); }\n")
+    result = cli_subprocess("run", src)
+    assert result.stderr == ""
+    assert (result.returncode, result.stdout) == (0, "242\n")
 
 
 def test_module_entry_point_matches_in_process_output(capsys):

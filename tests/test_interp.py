@@ -11,6 +11,7 @@ import json
 import pytest
 
 from priopost import (
+    DEFAULT_BUDGET,
     AsynchList,
     Failed,
     Finished,
@@ -18,6 +19,7 @@ from priopost import (
     OracleQueue,
     Priority,
     parse_program,
+    pretty_print,
     run_program,
     trace_to_jsonl,
 )
@@ -28,6 +30,7 @@ from priopost.interp import (
     STEP_BUDGET_EXHAUSTED,
 )
 from priopost.syntax import I64_MAX, I64_MIN
+from progen import gen_programs
 
 
 def run_src(src: str, budget: int = 1_000_000):
@@ -440,3 +443,24 @@ def test_oracle_queue_drop_in_gives_identical_trace():
     via_list = trace_to_jsonl(Interpreter(prog).run())
     via_oracle = trace_to_jsonl(Interpreter(prog, postlist=OracleQueue()).run())
     assert via_list == via_oracle
+
+
+
+
+def run_observed(program, budget: int, trace: bool):
+    """Outcome type and payload, step count and store of one run; and its trace."""
+    interp = Interpreter(program, budget=budget, trace=trace)
+    out = interp.run()
+    end = out.global_value if isinstance(out, Finished) else (out.kind, out.line, out.col)
+    return (type(out), end, interp.step_count, interp.store), out.trace
+
+
+def test_trace_off_matches_trace_on():
+    for program in gen_programs(seed=2468, count=500):
+        steps = run_observed(program, DEFAULT_BUDGET, trace=True)[0][2]
+        # Half the step count also compares faults in the middle of a body.
+        for budget in (DEFAULT_BUDGET, steps // 2):
+            on, _ = run_observed(program, budget, trace=True)
+            off, trace = run_observed(program, budget, trace=False)
+            assert off == on, pretty_print(program)
+            assert trace == []
