@@ -75,14 +75,16 @@ def test_run_writes_trace_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ap")), ids=lambda p: p.name)
 def test_run_trace_file_matches_library_trace(tmp_path, capsys, path):
-    # The library trace is pinned by the behaviour lock; the CLI must
-    # write it byte for byte, and print the same with or without --trace.
+    # Library traces are pinned by the behaviour lock; the CLI must write
+    # the same bytes, and print the same with or without --trace.  A
+    # budget of 10,000 keeps count_forever's trace small.
     trace = tmp_path / "out.jsonl"
-    code = run_cli("run", path, "--trace", trace)
+    code = run_cli("run", path, "--budget", 10_000, "--trace", trace)
     traced_out = capsys.readouterr().out
-    assert run_cli("run", path) == code
+    assert run_cli("run", path, "--budget", 10_000) == code
     assert capsys.readouterr().out == traced_out
-    expected = trace_to_jsonl(run_program(parse_program(path.read_text(encoding="utf-8"))))
+    program = parse_program(path.read_text(encoding="utf-8"))
+    expected = trace_to_jsonl(run_program(program, budget=10_000))
     assert trace.read_bytes() == expected.encode("utf-8")
 
 

@@ -445,8 +445,6 @@ def test_oracle_queue_drop_in_gives_identical_trace():
     assert via_list == via_oracle
 
 
-
-
 def run_observed(program, budget: int, trace: bool):
     """Outcome type and payload, step count and store of one run; and its trace."""
     interp = Interpreter(program, budget=budget, trace=trace)
@@ -457,9 +455,10 @@ def run_observed(program, budget: int, trace: bool):
 
 def test_trace_off_matches_trace_on():
     for program in gen_programs(seed=2468, count=500):
-        steps = run_observed(program, DEFAULT_BUDGET, trace=True)[0][2]
+        full = Interpreter(program)
+        full.run()
         # Half the step count also compares faults in the middle of a body.
-        for budget in (DEFAULT_BUDGET, steps // 2):
+        for budget in (DEFAULT_BUDGET, full.step_count // 2):
             on, _ = run_observed(program, budget, trace=True)
             off, trace = run_observed(program, budget, trace=False)
             assert off == on, pretty_print(program)
