@@ -217,3 +217,52 @@ def gen_programs(seed: int, count: int) -> list[Program]:
     """Deterministic corpus of `count` programs."""
     rng = random.Random(seed)
     return [gen_program(rng) for _ in range(count)]
+
+
+# ---------------------------------------------------------------- graphs
+
+_GRAPH_ARGS = ("x", "x + 1", "0", "x / 2", "x % 3")
+
+
+def gen_graph_source(rng: random.Random, duplicates: bool = False) -> str:
+    """Source of 1-9 methods joined by random run/synch edges.
+
+    Unlike ``gen_program``, the run/post graph may have cycles and
+    self-loops.  Bodies mix quiet local arithmetic with the statements
+    that disqualify a method from being effect-free (``g :=``,
+    ``provided``, ``while``, ``/``, ``%``), some of them under an ``if``.
+    With ``duplicates``, some methods reuse an earlier name and some
+    calls target the undeclared method ``ghost``, so the program is
+    not scope-valid; otherwise it is.
+    """
+    n = rng.randint(1, 9)
+    names = [f"m{i}" for i in range(n)]
+    targets = names + ["ghost"] if duplicates else names
+    out = ["global g;"]
+    for i in range(n):
+        name = rng.choice(names[:i + 1]) if duplicates and rng.random() < 0.2 else names[i]
+        stmts = []
+        for _ in range(rng.randint(0, 4)):
+            r = rng.random()
+            if r < 0.5:
+                target = rng.choice(targets)
+                arg = rng.choice(_GRAPH_ARGS)
+                if rng.random() < 0.7:
+                    prio = rng.choice(_PRIORITIES).keyword
+                    stmts.append(f"synch({target}({arg}), {prio});")
+                else:
+                    stmts.append(f"run {target}({arg});")
+            elif r < 0.65:
+                stmts.append("x := x + 1;")
+            elif r < 0.72:
+                stmts.append("g := x;")
+            elif r < 0.77:
+                stmts.append("while x { x := x - 1; }")
+            elif r < 0.82:
+                stmts.append(rng.choice(("x := 10 / x;", "x := x % 2;")))
+            elif r < 0.86:
+                stmts.append("provided x;")
+            elif stmts:
+                stmts = [f"if x {{ {' '.join(stmts)} }} else {{ }}"]
+        out.append(f"meth {name}(x) {{ {' '.join(stmts)} }}")
+    return "\n".join(out) + "\n"

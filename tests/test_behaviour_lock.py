@@ -1,4 +1,4 @@
-"""Behaviour lock: committed digests of what the interpreter observably does.
+"""Behaviour lock: committed digests of what the program observably does.
 
 Every input is run twice, once at the default budget and once at half
 of the step count that run took, so that ``step-budget-exhausted``
@@ -13,6 +13,13 @@ same from one build to the next.  Inputs: ``gen_programs(CORPUS_SEED,
 CORPUS_COUNT)`` hashed in chunks of ``CHUNK`` programs, and each file
 in ``programs/``.
 
+The front end is locked the same way: the AST JSON or the ParseError
+(message, position, expected tokens) of pretty-printed corpus programs
+and of seeded mangled and random texts, the scope errors of corpus
+programs with identifiers renamed at random, and the dead-post report
+of seeded random run/post graphs (``progen.gen_graph_source``), with
+cycles, self-loops, duplicate method names and undeclared targets.
+
 Re-record only when observable behaviour is meant to change:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py
@@ -22,11 +29,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import re
 from pathlib import Path
 
-from progen import gen_programs
+from progen import gen_graph_source, gen_programs
 
-from priopost import DEFAULT_BUDGET, Failed, Interpreter, parse_program, trace_to_jsonl
+from priopost import (
+    DEFAULT_BUDGET,
+    Failed,
+    Interpreter,
+    ParseError,
+    ast_to_dict,
+    dead_posts,
+    parse_program,
+    pretty_print,
+    trace_to_jsonl,
+    validate_scopes,
+)
+from priopost.syntax import KEYWORDS
 
 HERE = Path(__file__).resolve().parent
 LOCK_FILE = HERE / "behaviour_lock.json"
@@ -34,6 +55,8 @@ PROGRAMS = HERE.parent / "programs"
 CORPUS_SEED = 20150100
 CORPUS_COUNT = 1000
 CHUNK = 100
+FRONT_SEED = 20150101
+FRONT_COUNT = 2000
 
 
 def run_summary(program, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
@@ -87,6 +110,77 @@ def corpus_digests() -> dict[str, str]:
     return out
 
 
+def parse_summary(text: str) -> str:
+    try:
+        return json.dumps(ast_to_dict(parse_program(text))) + "\n"
+    except ParseError as err:
+        return f"error {err.line}:{err.col} {err.message} {list(err.expected)}\n"
+
+
+def mangled(rng: random.Random, text: str) -> str:
+    """``text`` with one to four characters replaced, inserted or deleted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randrange(len(chars))
+        new = rng.choice("gx(){};:=<>!+-*/%07 \n")
+        chars[pos:pos + 1] = rng.choice(([new], [new, chars[pos]], []))
+    return "".join(chars)
+
+
+def random_expr(rng: random.Random, depth: int) -> str:
+    """An expression over every operator, with random redundant parentheses."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        text = rng.choice(("x", "g", "0", "7"))
+    elif r < 0.35:
+        text = rng.choice("-!") + random_expr(rng, depth - 1)
+    else:
+        op = rng.choice(("or", "and", "==", "!=", "<", "<=", ">", ">=",
+                         "+", "-", "*", "/", "%"))
+        text = f"{random_expr(rng, depth - 1)} {op} {random_expr(rng, depth - 1)}"
+    return f"({text})" if rng.random() < 0.2 else text
+
+
+def random_text(rng: random.Random) -> str:
+    """A one-method program around random expressions, sometimes mangled."""
+    text = (f"global g; meth m(x) {{ g := {random_expr(rng, 4)}; "
+            f"if {random_expr(rng, 3)} {{ x := {random_expr(rng, 3)}; }} else {{ }} }}")
+    return mangled(rng, text) if rng.random() < 0.3 else text
+
+
+def renamed(rng: random.Random, text: str) -> str:
+    """``text`` with some identifiers swapped for declared or unknown names."""
+    pool = ("g", "h", "m0", "m1", "m4", "v0", "v1", "v3", "zz")
+
+    def swap(match):
+        word = match.group(0)
+        if word in KEYWORDS or rng.random() >= 0.15:
+            return word
+        return rng.choice(pool)
+
+    return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", swap, text)
+
+
+def front_end_digests() -> dict[str, str]:
+    corpus = [pretty_print(p) for p in gen_programs(CORPUS_SEED, CORPUS_COUNT)]
+    rng = random.Random(FRONT_SEED)
+    mangled_texts = [mangled(rng, rng.choice(corpus)) for _ in range(FRONT_COUNT)]
+    random_texts = [random_text(rng) for _ in range(FRONT_COUNT)]
+    renamed_programs = [parse_program(renamed(rng, rng.choice(corpus)))
+                        for _ in range(FRONT_COUNT)]
+    graphs = [parse_program(gen_graph_source(rng, duplicates=i % 2 == 0))
+              for i in range(FRONT_COUNT)]
+    return {
+        "parse:corpus": digest(map(parse_summary, corpus)),
+        "parse:mangled": digest(map(parse_summary, mangled_texts)),
+        "parse:random": digest(map(parse_summary, random_texts)),
+        "scope:renamed": digest(
+            json.dumps([str(e) for e in validate_scopes(p)]) + "\n" for p in renamed_programs),
+        "analysis:graphs": digest(
+            json.dumps(dead_posts(p).to_json_obj()) + "\n" for p in graphs),
+    }
+
+
 def mismatches(got: dict[str, str]) -> list[str]:
     with open(LOCK_FILE, encoding="utf-8") as handle:
         want = json.load(handle)
@@ -105,8 +199,14 @@ def test_progen_corpus_locked():
     assert mismatches(got) == []
 
 
+def test_front_end_locked():
+    got = front_end_digests()
+    assert len(got) == 5
+    assert mismatches(got) == []
+
+
 def main():
-    digests = {**program_digests(), **corpus_digests()}
+    digests = {**program_digests(), **corpus_digests(), **front_end_digests()}
     with open(LOCK_FILE, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=0, sort_keys=True)
         handle.write("\n")
