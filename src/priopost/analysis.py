@@ -16,10 +16,10 @@ outright if its body contains:
   budget-exhausted one),
 * division or modulo (could fault with division-by-zero).
 
-A fixpoint then removes any method that runs or posts a disqualified
-method, and finally any method that can reach a run/post cycle among
-the survivors (an effect-free posting cycle would repost forever and
-exhaust the step budget, so deleting it would change the outcome).
+A method is effect-free when it is not disqualified and every method
+it runs or posts is effect-free, with no run/post cycle on the way (an
+effect-free posting cycle would repost forever and exhaust the step
+budget, so deleting it would change the outcome).
 
 A flagged post must also have a fault-free argument expression, since
 deleting the post deletes the argument evaluation too; arguments
@@ -28,11 +28,11 @@ containing division or modulo are left alone.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .syntax import (
     AssignGlobal,
-    AssignLocal,
     Binary,
     Expr,
     If,
@@ -44,8 +44,8 @@ from .syntax import (
     Seq,
     Stmt,
     Synch,
-    Unary,
     While,
+    walk,
 )
 
 
@@ -101,53 +101,21 @@ class AnalysisReport:
         }
 
 
-def _walk_stmts(stmt: Stmt):
-    yield stmt
-    match stmt:
-        case Seq(stmts):
-            for sub in stmts:
-                yield from _walk_stmts(sub)
-        case If(_, then, orelse):
-            yield from _walk_stmts(then)
-            yield from _walk_stmts(orelse)
-        case While(_, body):
-            yield from _walk_stmts(body)
-        case _:
-            pass
-
-
-def _exprs_of(stmt: Stmt):
-    match stmt:
-        case AssignGlobal(_, expr) | AssignLocal(_, expr) | Provided(expr):
-            yield expr
-        case If(cond, _, _) | While(cond, _):
-            yield cond
-        case Run(_, arg) | Synch(_, arg, _):
-            yield arg
-        case _:
-            pass
+def _divides(node) -> bool:
+    return type(node) is Binary and node.op in ("/", "%")
 
 
 def _expr_can_fault(expr: Expr) -> bool:
     """True when evaluating the expression could raise (division/modulo)."""
-    match expr:
-        case Binary(op, left, right):
-            return op in ("/", "%") or _expr_can_fault(left) or _expr_can_fault(right)
-        case Unary(_, operand):
-            return _expr_can_fault(operand)
-        case _:
-            return False
+    return any(_divides(e) for e in walk(expr))
 
 
 def _calls_in(method: Method):
-    for s in _walk_stmts(method.body):
-        match s:
-            case Run(target, _):
-                yield "run", target, None, s.line, s.col
-            case Synch(target, _, priority):
-                yield "post", target, priority, s.line, s.col
-            case _:
-                pass
+    for s in walk(method.body):
+        if type(s) is Run:
+            yield "run", s.method, None, s.line, s.col
+        elif type(s) is Synch:
+            yield "post", s.method, s.priority, s.line, s.col
 
 
 def build_post_graph(program: Program) -> PostGraph:
@@ -160,52 +128,38 @@ def build_post_graph(program: Program) -> PostGraph:
 
 
 def _is_quiet(method: Method) -> bool:
-    for s in _walk_stmts(method.body):
-        if isinstance(s, (AssignGlobal, Provided, While)):
-            return False
-        for e in _exprs_of(s):
-            if _expr_can_fault(e):
-                return False
-    return True
+    return not any(isinstance(node, (AssignGlobal, Provided, While)) or _divides(node)
+                   for node in walk(method.body))
 
 
 def find_effect_free(program: Program) -> set[str]:
     """The largest set of methods whose execution is unobservable.
 
-    Computed as a fixpoint over the run/post graph (at most one round
-    per method), then shrunk by removing anything that can reach a
-    run/post cycle among the survivors.
+    A worklist least fixpoint over the run/post graph: a quiet method
+    joins once every method it runs or posts has joined, so a method
+    that reaches a cycle, a disqualified method or an undeclared one
+    never does.  Each edge is counted down once, with no recursion, and
+    the result does not depend on the order sets iterate in.  A name
+    declared twice (a scope error) is quiet when any declaration is, and
+    its last declaration gives its calls.
     """
     targets = {m.name: [t for _, t, _, _, _ in _calls_in(m)] for m in program.methods}
-    free = {m.name for m in program.methods if _is_quiet(m)}
-    changed = True
-    while changed:
-        changed = False
-        for name in list(free):
-            if any(t not in free for t in targets[name]):
-                free.discard(name)
-                changed = True
-
-    # A cycle of effect-free posts would repost forever; prune every
-    # method that can reach one.
-    SAFE, UNSAFE, VISITING = "safe", "unsafe", "visiting"
-    state: dict[str, str] = {}
-
-    def visit(name: str) -> str:
-        got = state.get(name)
-        if got == VISITING:
-            return UNSAFE
-        if got is not None:
-            return got
-        state[name] = VISITING
-        verdict = SAFE
+    quiet = {m.name for m in program.methods if _is_quiet(m)}
+    waiting = {name: len(targets[name]) for name in quiet}
+    callers = defaultdict(list)
+    for name in quiet:
         for t in targets[name]:
-            if visit(t) == UNSAFE:
-                verdict = UNSAFE
-        state[name] = verdict
-        return verdict
-
-    return {name for name in free if visit(name) == SAFE}
+            callers[t].append(name)
+    ready = [name for name, count in waiting.items() if count == 0]
+    free = set()
+    while ready:
+        name = ready.pop()
+        free.add(name)
+        for caller in callers[name]:
+            waiting[caller] -= 1
+            if waiting[caller] == 0:
+                ready.append(caller)
+    return free
 
 
 def dead_posts(program: Program) -> AnalysisReport:
@@ -214,8 +168,8 @@ def dead_posts(program: Program) -> AnalysisReport:
     graph = build_post_graph(program)
     flagged = []
     for m in program.methods:
-        for s in _walk_stmts(m.body):
-            if isinstance(s, Synch) and s.method in free and not _expr_can_fault(s.arg):
+        for s in walk(m.body):
+            if type(s) is Synch and s.method in free and not _expr_can_fault(s.arg):
                 flagged.append(DeadPost(s.method, s.line, s.col))
     return AnalysisReport(free, flagged, graph)
 

@@ -33,7 +33,8 @@ Expressions use the usual precedence ladder, loosest first: ``or``,
 ``and``, ``== !=``, ``< <= > >=``, ``+ -``, ``* / %``, unary ``- !``,
 then atoms (integer literals, the two in-scope variables, and
 parenthesised expressions).  All values are signed 64-bit integers;
-comparisons and logical operators yield 1 or 0.
+comparisons and logical operators yield 1 or 0.  Nesting deeper than
+``MAX_DEPTH`` levels is a parse error.
 """
 
 from __future__ import annotations
@@ -201,12 +202,6 @@ class Program(Node):
     global_name: str
     methods: list[Method]
 
-    def method(self, name: str) -> Method:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
 
 # --- Lexer -------------------------------------------------------------
 
@@ -288,10 +283,25 @@ def tokenize(source: str) -> list[Token]:
 
 # --- Parser ------------------------------------------------------------
 
-_REL_OPS = ("<", "<=", ">", ">=")
-_EQ_OPS = ("==", "!=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+# Binding strength of each binary operator, loosest first; every level is
+# left-associative.  The parser and the printer both read this table.
+_PREC = {
+    "or": 1, "and": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_UNARY_PREC = 7
+
+MAX_DEPTH = 100
+"""Deepest nesting ``parse_program`` accepts, so that no recursive
+consumer of the tree (printer, AST JSON, interpreter) runs out of Python
+stack.  A method body is level 1, and every block, statement, operator,
+literal, variable and parenthesised group is one level below the
+construct it is written in; a left-associative chain ``a + b + c``
+counts one level per operator.  Deeper input is a ``ParseError``
+``nesting too deep`` at the token that crosses the bound."""
 
 
 class _Parser:
@@ -299,6 +309,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.global_name = ""
+        self.depth = 0  # levels open above the node being parsed
 
     def _peek(self) -> Token:
         return self.tokens[self.pos]
@@ -312,6 +323,16 @@ class _Parser:
     def _error(self, message, expected=()):
         tok = self._peek()
         raise ParseError(message, tok.line, tok.col, expected)
+
+    def _fit(self, tok: Token, height: int = 1):
+        """Raise at ``tok`` unless ``height`` more levels stay within MAX_DEPTH."""
+        if self.depth + height > MAX_DEPTH:
+            raise ParseError("nesting too deep", tok.line, tok.col)
+
+    def _enter(self, tok: Token):
+        """Open one level at ``tok``; the caller closes it with ``depth -= 1``."""
+        self._fit(tok)
+        self.depth += 1
 
     def _expect(self, text: str) -> Token:
         tok = self._peek()
@@ -351,11 +372,15 @@ class _Parser:
 
     def _block(self) -> Seq:
         start = self._expect("{")
+        self._enter(start)
         stmts = []
         while self._peek().text != "}":
             if self._peek().kind == "eof":
                 self._error("expected '}'", expected=("}",))
+            self._enter(self._peek())
             stmts.append(self._stmt())
+            self.depth -= 1
+        self.depth -= 1
         self._expect("}")
         return Seq(stmts, line=start.line, col=start.col)
 
@@ -364,32 +389,32 @@ class _Parser:
         if tok.kind == "ident":
             name = self._advance()
             self._expect(":=")
-            e = self._expr()
+            e, _ = self._expr()
             self._expect(";")
             cls = AssignGlobal if name.text == self.global_name else AssignLocal
             return cls(name.text, e, line=name.line, col=name.col)
         if tok.text == "provided":
             self._advance()
-            e = self._expr()
+            e, _ = self._expr()
             self._expect(";")
             return Provided(e, line=tok.line, col=tok.col)
         if tok.text == "if":
             self._advance()
-            cond = self._expr()
+            cond, _ = self._expr()
             then = self._block()
             self._expect("else")
             orelse = self._block()
             return If(cond, then, orelse, line=tok.line, col=tok.col)
         if tok.text == "while":
             self._advance()
-            cond = self._expr()
+            cond, _ = self._expr()
             body = self._block()
             return While(cond, body, line=tok.line, col=tok.col)
         if tok.text == "run":
             self._advance()
             method = self._expect_ident("method name").text
             self._expect("(")
-            arg = self._expr()
+            arg, _ = self._expr()
             self._expect(")")
             self._expect(";")
             return Run(method, arg, line=tok.line, col=tok.col)
@@ -404,7 +429,7 @@ class _Parser:
             self._expect("(")
             method = self._expect_ident("method name").text
             self._expect("(")
-            arg = self._expr()
+            arg, _ = self._expr()
             self._expect(")")
             self._expect(",")
             prio_tok = self._peek()
@@ -420,56 +445,45 @@ class _Parser:
             expected=("identifier", "provided", "if", "while", "run", "return", "synch", "}"),
         )
 
-    def _expr(self) -> Expr:
-        return self._or()
-
-    def _binary_left(self, ops, sub) -> Expr:
-        left = sub()
-        while self._peek().text in ops and self._peek().kind != "eof":
+    def _expr(self, min_prec: int = 1) -> tuple[Expr, int]:
+        """Precedence climbing over ``_PREC``: an expression whose binary
+        operators bind at least as tightly as ``min_prec``, and its height
+        in levels.  The loop builds each left-associative chain without
+        recursing; only a right operand recurses, one precedence up.
+        """
+        left, height = self._operand()
+        while (prec := _PREC.get(self._peek().text, 0)) >= min_prec:
             op = self._advance()
-            right = sub()
+            self._enter(op)
+            right, right_height = self._expr(prec + 1)
+            self.depth -= 1
+            # The new node lifts the whole chain so far one level deeper.
+            height = max(height, right_height) + 1
+            self._fit(op, height)
             left = Binary(op.text, left, right, line=op.line, col=op.col)
-        return left
+        return left, height
 
-    def _or(self) -> Expr:
-        return self._binary_left(("or",), self._and)
-
-    def _and(self) -> Expr:
-        return self._binary_left(("and",), self._equality)
-
-    def _equality(self) -> Expr:
-        return self._binary_left(_EQ_OPS, self._relational)
-
-    def _relational(self) -> Expr:
-        return self._binary_left(_REL_OPS, self._additive)
-
-    def _additive(self) -> Expr:
-        return self._binary_left(_ADD_OPS, self._multiplicative)
-
-    def _multiplicative(self) -> Expr:
-        return self._binary_left(_MUL_OPS, self._unary)
-
-    def _unary(self) -> Expr:
+    def _operand(self) -> tuple[Expr, int]:
+        """A literal, variable, unary operation or parenthesised group."""
         tok = self._peek()
-        if tok.text in ("-", "!"):
+        if tok.kind == "int" or tok.kind == "ident":
+            self._fit(tok)
             self._advance()
-            return Unary(tok.text, self._unary(), line=tok.line, col=tok.col)
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        tok = self._peek()
-        if tok.kind == "int":
-            self._advance()
-            return IntLit(int(tok.text), line=tok.line, col=tok.col)
-        if tok.kind == "ident":
-            self._advance()
-            return Var(tok.text, line=tok.line, col=tok.col)
+            if tok.kind == "int":
+                return IntLit(int(tok.text), line=tok.line, col=tok.col), 1
+            return Var(tok.text, line=tok.line, col=tok.col), 1
+        if tok.text not in ("-", "!", "("):
+            self._error("expected expression", expected=("integer", "identifier", "("))
+        self._advance()
+        self._enter(tok)
         if tok.text == "(":
-            self._advance()
-            e = self._expr()
+            e, height = self._expr()
             self._expect(")")
-            return e
-        self._error("expected expression", expected=("integer", "identifier", "("))
+        else:
+            operand, height = self._operand()
+            e = Unary(tok.text, operand, line=tok.line, col=tok.col)
+        self.depth -= 1
+        return e, height + 1
 
 
 def parse_program(source: str) -> Program:
@@ -490,6 +504,34 @@ class ScopeError:
         return f"{self.line}:{self.col} {self.kind}: {self.name}"
 
 
+def walk(node: Node):
+    """Yield ``node`` and every node below it, in pre-order and source order.
+
+    A statement comes before its expression, and that expression's nodes
+    before the statement's nested blocks.  The walk keeps its own stack,
+    so it does not recurse.
+    """
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        kind = type(node)
+        if kind is Binary:
+            todo += (node.right, node.left)
+        elif kind is Unary:
+            todo.append(node.operand)
+        elif kind is Seq:
+            todo += reversed(node.stmts)
+        elif kind is If:
+            todo += (node.orelse, node.then, node.cond)
+        elif kind is While:
+            todo += (node.body, node.cond)
+        elif kind is Run or kind is Synch:
+            todo.append(node.arg)
+        elif kind is AssignGlobal or kind is AssignLocal or kind is Provided:
+            todo.append(node.expr)
+
+
 def validate_scopes(program: Program) -> list[ScopeError]:
     """Check every name in the program; returns all violations, not just the first.
 
@@ -506,64 +548,19 @@ def validate_scopes(program: Program) -> list[ScopeError]:
         if m.local == program.global_name:
             errors.append(ScopeError("global-local-clash", m.local, m.line, m.col))
 
-    def check_expr(e: Expr, local: str):
-        match e:
-            case Var(name):
-                if name not in (program.global_name, local):
-                    errors.append(ScopeError("unknown-variable", name, e.line, e.col))
-            case Unary(_, operand):
-                check_expr(operand, local)
-            case Binary(_, left, right):
-                check_expr(left, local)
-                check_expr(right, local)
-            case _:
-                pass
-
-    def check_stmt(s: Stmt, local: str):
-        match s:
-            case Seq(stmts):
-                for sub in stmts:
-                    check_stmt(sub, local)
-            case AssignGlobal(name, expr):
-                if name != program.global_name:
-                    errors.append(ScopeError("unknown-variable", name, s.line, s.col))
-                check_expr(expr, local)
-            case AssignLocal(name, expr):
-                if name != local:
-                    errors.append(ScopeError("unknown-variable", name, s.line, s.col))
-                check_expr(expr, local)
-            case Provided(expr):
-                check_expr(expr, local)
-            case If(cond, then, orelse):
-                check_expr(cond, local)
-                check_stmt(then, local)
-                check_stmt(orelse, local)
-            case While(cond, body):
-                check_expr(cond, local)
-                check_stmt(body, local)
-            case Run(method, arg) | Synch(method, arg, _):
-                if method not in method_names:
-                    errors.append(ScopeError("unknown-method", method, s.line, s.col))
-                check_expr(arg, local)
-            case _:
-                pass
-
     for m in program.methods:
-        check_stmt(m.body, m.local)
+        for node in walk(m.body):
+            kind = type(node)
+            if ((kind is Var and node.name not in (program.global_name, m.local))
+                    or (kind is AssignGlobal and node.name != program.global_name)
+                    or (kind is AssignLocal and node.name != m.local)):
+                errors.append(ScopeError("unknown-variable", node.name, node.line, node.col))
+            elif (kind is Run or kind is Synch) and node.method not in method_names:
+                errors.append(ScopeError("unknown-method", node.method, node.line, node.col))
     return errors
 
 
 # --- Pretty printer ------------------------------------------------------
-
-_PREC = {
-    "or": 1, "and": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
-
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
     """Render an expression with the minimum parentheses that reparse equal."""

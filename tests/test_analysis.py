@@ -26,7 +26,7 @@ from priopost import (
     validate_scopes,
 )
 
-from progen import gen_program, gen_programs
+from progen import gen_graph_source, gen_program, gen_programs
 
 
 def prog(src: str):
@@ -308,6 +308,8 @@ def test_fixpoint_matches_reachability_reference():
         "global g; meth a(x) { synch(b(x), low); } meth b(x) { run a(x); }",
         "global g; meth t(x) { synch(a(x), low); } meth a(x) { synch(a(x), low); }",
     ]
+    rng = random.Random(78)
+    cyclic_sources += [gen_graph_source(rng) for _ in range(500)]
     programs = [prog(s) for s in cyclic_sources]
     programs += gen_programs(seed=77, count=150)
     for p in programs:

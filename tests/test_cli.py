@@ -6,6 +6,8 @@ checked through real subprocesses.
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ import pytest
 
 from priopost import ast_to_dict, parse_program, pretty_print, run_program, trace_to_jsonl
 from priopost.cli import main
+
+from test_syntax import DEEP_PROBES
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -208,6 +212,17 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert run_cli("analyze", bad) == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "run", "analyze"])
+@pytest.mark.parametrize("name", DEEP_PROBES)
+def test_too_deep_nesting_is_a_diagnostic(tmp_path, capsys, command, name):
+    deep = tmp_path / "deep.ap"
+    deep.write_text(DEEP_PROBES[name])
+    assert run_cli(command, deep) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"1:\d+ nesting too deep\n", out.err)
+
+
 # ------------------------------------------------------------- determinism
 
 def cli_subprocess(*argv):
@@ -235,6 +250,24 @@ def test_run_chain_240_deep_finishes(tmp_path):
     result = cli_subprocess("run", src)
     assert result.stderr == ""
     assert (result.returncode, result.stdout) == (0, "242\n")
+
+
+def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
+    # A 1,500-method synch chain: an analysis that recurses along the
+    # chain from a start picked in set order fails for some hash seeds.
+    chain = tmp_path / "chain.ap"
+    chain.write_text("global g;\n" + "".join(
+        f"meth m{i}(x) {{ synch(m{i + 1}(x), low); }}\n" for i in range(1499))
+        + "meth m1499(x) { }\n")
+    outputs = set()
+    for seed in ("0", "1", "5"):
+        result = subprocess.run(
+            [sys.executable, "-m", "priopost.cli", "analyze", str(chain)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+    assert len(json.loads(outputs.pop())["effect_free"]) == 1500
 
 
 def test_module_entry_point_matches_in_process_output(capsys):

@@ -6,6 +6,7 @@ randomized corpus), parser totality on junk input, and every scope error
 kind.
 """
 
+import json
 import random
 
 import pytest
@@ -30,12 +31,14 @@ from priopost import (
     Var,
     While,
     ast_to_dict,
+    dead_posts,
     format_expr,
     parse_program,
     pretty_print,
+    run_program,
     validate_scopes,
 )
-from priopost.syntax import I64_MAX, tokenize
+from priopost.syntax import I64_MAX, MAX_DEPTH, tokenize
 
 from progen import gen_programs
 
@@ -266,6 +269,74 @@ def test_parser_total_on_mangled_programs():
             parse_program("".join(chars))
         except ParseError:
             pass
+
+
+# ----------------------------------------------------------- nesting bound
+
+def in_method(stmt: str) -> str:
+    return f"global g; meth m(x) {{ {stmt} }}"
+
+
+# Inputs that once overflowed the Python stack in the parser or later.
+DEEP_PROBES = {
+    "5000 nested parentheses": in_method("g := " + "(" * 5000 + "1" + ")" * 5000 + ";"),
+    "500 nested ifs": in_method("if 1 { " * 500 + "} else { } " * 500),
+    "1000 unary minuses": in_method("g := " + "-" * 1000 + "1;"),
+    "3000-term sum": in_method("g := " + " + ".join(["1"] * 3000) + ";"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PROBES)
+def test_too_deep_nesting_is_a_parse_error(name):
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_program(DEEP_PROBES[name])
+
+
+def test_too_deep_error_is_at_the_crossing_operator():
+    # The body is level 1, the statement 2, and a chain of n operators
+    # reaches level 3 + n, so operator number MAX_DEPTH - 2 crosses.
+    source = DEEP_PROBES["3000-term sum"]
+    crossing = [t for t in tokenize(source) if t.text == "+"][MAX_DEPTH - 3]
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert (info.value.line, info.value.col) == (crossing.line, crossing.col)
+
+
+def test_seventy_nested_parentheses_parse():
+    assert shape("(" * 70 + "1 + 2" + ")" * 70) == Binary("+", IntLit(1), IntLit(2))
+
+
+BOUND_SHAPES = {
+    "sum": lambda n: in_method("g := x" + " + 1" * n + ";"),
+    "right-nested": lambda n: in_method("g := " + "1 - (" * n + "x" + ")" * n + ";"),
+    "unary": lambda n: in_method("g := " + "-" * n + "x;"),
+    "ifs": lambda n: in_method("if 1 { " * n + "g := x;" + " } else { }" * n),
+    "whiles": lambda n: in_method("while 0 { " * n + "x := 1 / x;" + " }" * n),
+    "parenthesised head": lambda n: in_method(
+        "g := " + "(" * n + "x * 2" + ")" * n + " - 1" * n + ";"),
+    "synch argument": lambda n: in_method(
+        "if x { " * n + "synch(m(" + "x + " * n + "1), low);" + " } else { }" * n),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_SHAPES)
+def test_program_at_the_depth_bound_is_usable(name):
+    make = BOUND_SHAPES[name]
+    for n in range(1, MAX_DEPTH):
+        try:
+            parse_program(make(n + 1))
+        except ParseError as err:
+            assert err.message == "nesting too deep"
+            break
+    else:
+        pytest.fail("no nesting bound")
+    # The deepest program the parser accepts works everywhere downstream.
+    program = parse_program(make(n))
+    assert validate_scopes(program) == []
+    assert parse_program(pretty_print(program)) == program
+    json.dumps(ast_to_dict(program))
+    dead_posts(program)
+    run_program(program)
 
 
 # ------------------------------------------------------------------ scopes
