@@ -191,7 +191,6 @@ class Interpreter:
         self.trace: list[TraceEvent] = []
         self._tracing = trace
         self._post_seq = 0
-        self._event_seq = 0
         self._local_of = {m.name: m.local for m in program.methods}
         self._eval = _Dispatch({
             IntLit: self._eval_int, Var: self._eval_var,
@@ -207,8 +206,7 @@ class Interpreter:
     # -- bookkeeping --
 
     def _emit(self, kind, method=None, value=None, priority=None):
-        self._event_seq += 1
-        self.trace.append(TraceEvent(self._event_seq, kind, method, value, priority))
+        self.trace.append(TraceEvent(len(self.trace) + 1, kind, method, value, priority))
 
     def _tick(self, node):
         if self.step_count >= self.budget:
