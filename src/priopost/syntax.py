@@ -505,7 +505,8 @@ class ScopeError:
 
 
 def walk(node: Node):
-    """Yield ``node`` and every node below it, in pre-order and source order.
+    """Yield the statement or expression ``node`` and every node below it,
+    in pre-order and source order.
 
     A statement comes before its expression, and that expression's nodes
     before the statement's nested blocks.  The walk keeps its own stack,
