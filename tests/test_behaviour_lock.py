@@ -19,6 +19,10 @@ and of seeded mangled and random texts, the scope errors of corpus
 programs with identifiers renamed at random, and the dead-post report
 of seeded random run/post graphs (``progen.gen_graph_source``), with
 cycles, self-loops, duplicate method names and undeclared targets.
+The tokens (kind, text, line:col) or the tokenizer's ParseError
+(message, line:col) of the same texts, of the files in ``programs/`` and
+of seeded noise over every character class the tokenizer tells apart
+are locked too, since parse digests are position-free.
 
 Re-record only when observable behaviour is meant to change:
 
@@ -47,7 +51,7 @@ from priopost import (
     trace_to_jsonl,
     validate_scopes,
 )
-from priopost.syntax import KEYWORDS
+from priopost.syntax import KEYWORDS, tokenize
 
 HERE = Path(__file__).resolve().parent
 LOCK_FILE = HERE / "behaviour_lock.json"
@@ -117,6 +121,27 @@ def parse_summary(text: str) -> str:
         return f"error {err.line}:{err.col} {err.message} {list(err.expected)}\n"
 
 
+def lex_summary(text: str) -> str:
+    try:
+        return "".join(f"{t.kind} {t.text} {t.line}:{t.col}\n" for t in tokenize(text))
+    except ParseError as err:
+        return f"error {err.line}:{err.col} {err.message}\n"
+
+
+def noise(rng: random.Random) -> str:
+    """Up to 40 lexemes, blanks and comments, glued or apart, and in 30%
+    of texts one piece the tokenizer rejects, at a random place."""
+    pieces = ("x", "_a9", "global", "or", "0", "007", "9223372036854775807", ":=",
+              "==", "!=", "!", "<=", "<", ">=", ">", "+", "-", "*", "/", "%", "(", ")",
+              "{", "}", ";", ",", "//", "// c", " ", "\t", "\r", "\n")
+    text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+    if rng.random() < 0.3:
+        pos = rng.randint(0, len(text))
+        bad = rng.choice((":", "=", "\f", "\xe9", "@", "9223372036854775808", "1" * 25))
+        text = text[:pos] + bad + text[pos:]
+    return text
+
+
 def mangled(rng: random.Random, text: str) -> str:
     """``text`` with one to four characters replaced, inserted or deleted."""
     chars = list(text)
@@ -170,6 +195,8 @@ def front_end_digests() -> dict[str, str]:
                         for _ in range(FRONT_COUNT)]
     graphs = [parse_program(gen_graph_source(rng, duplicates=i % 2 == 0))
               for i in range(FRONT_COUNT)]
+    noise_texts = [noise(rng) for _ in range(FRONT_COUNT)]
+    sample_texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
     return {
         "parse:corpus": digest(map(parse_summary, corpus)),
         "parse:mangled": digest(map(parse_summary, mangled_texts)),
@@ -178,6 +205,11 @@ def front_end_digests() -> dict[str, str]:
             json.dumps([str(e) for e in validate_scopes(p)]) + "\n" for p in renamed_programs),
         "analysis:graphs": digest(
             json.dumps(dead_posts(p).to_json_obj()) + "\n" for p in graphs),
+        "lex:corpus": digest(map(lex_summary, corpus)),
+        "lex:mangled": digest(map(lex_summary, mangled_texts)),
+        "lex:random": digest(map(lex_summary, random_texts)),
+        "lex:noise": digest(map(lex_summary, noise_texts)),
+        "lex:programs": digest(map(lex_summary, sample_texts)),
     }
 
 
@@ -201,7 +233,7 @@ def test_progen_corpus_locked():
 
 def test_front_end_locked():
     got = front_end_digests()
-    assert len(got) == 5
+    assert len(got) == 10
     assert mismatches(got) == []
 
 
