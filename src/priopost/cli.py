@@ -8,6 +8,7 @@ stdout and trace files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -124,8 +125,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls and looks up sys.stdout
+# and sys.stderr only when it prints, so one parser serves every main call.
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.file, budget=args.budget, trace_path=args.trace,
                        dump_final_store=args.dump_final_store)

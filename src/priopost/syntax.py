@@ -40,7 +40,9 @@ comparisons and logical operators yield 1 or 0.  Nesting deeper than
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -49,10 +51,6 @@ KEYWORDS = frozenset({
     "global", "meth", "provided", "if", "else", "while",
     "run", "return", "synch", "high", "medium", "low", "and", "or",
 })
-
-_TWO_CHAR_OPS = (":=", "==", "!=", "<=", ">=")
-_ONE_CHAR_OPS = frozenset("+-*/%<>!(){};,")
-
 
 class Priority(enum.Enum):
     """Dispatch priority of a posted call; lower rank runs first."""
@@ -205,80 +203,56 @@ class Program(Node):
 
 # --- Lexer -------------------------------------------------------------
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "keyword", "punct", "eof"
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return _is_ident_start(c) or "0" <= c <= "9"
+# One match per newline, end of file, token or bad character, blanks
+# folded in front; a comment ends at a newline or at the end of the file,
+# so it is folded in front of those.  The group that matched is the kind.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|(:=|==|!=|<=|>=|[-+*%<>!(){};,])"
+    r"|(?://[^\n]*)?(\n)|()(?://[^\n]*)?\Z|(/)|(.))", re.S)
+_WORD, _INT, _OP, _NEWLINE, _EOF, _SLASH, _BAD = range(1, 8)
 
 
 def tokenize(source: str) -> list[Token]:
     """Split source into tokens; raises ParseError on a bad character.
 
-    Identifiers and digits are ASCII only, per the grammar.
+    Identifiers and digits are ASCII only, per the grammar.  Blanks,
+    tabs and carriage returns each take one column.  The final ``eof``
+    token sits where a ``//`` comment that ends the file starts.
     """
     tokens = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    line_start = 0  # offset of the current line's first character
+    for m in _LEXEME.finditer(source):
+        group = m.lastindex
+        start = m.start(group)
+        col = start - line_start + 1
+        if group == _WORD:
+            text = m[group]
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, line, col))
+        elif group == _OP or group == _SLASH:
+            tokens.append(Token("punct", m[group], line, col))
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if _is_ident_start(c):
-            start = i
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        if "0" <= c <= "9":
-            start = i
-            while i < n and "0" <= source[i] <= "9":
-                i += 1
-            text = source[start:i]
-            if int(text) > I64_MAX:
+            line_start = start + 1
+        elif group == _INT:
+            text = m[group]
+            digits = text.lstrip("0")
+            # int() refuses more than 4,300 digits, so count them first.
+            if len(digits) > 19 or int(digits or "0") > I64_MAX:
                 raise ParseError("integer literal out of range", line, col)
             tokens.append(Token("int", text, line, col))
-            col += i - start
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        elif group == _EOF:
+            tokens.append(Token("eof", "", line, col))
+            return tokens
+        else:
+            raise ParseError(f"unexpected character {m[group]!r}", line, col)
 
 
 # --- Parser ------------------------------------------------------------
@@ -470,7 +444,8 @@ class _Parser:
             self._fit(tok)
             self._advance()
             if tok.kind == "int":
-                return IntLit(int(tok.text), line=tok.line, col=tok.col), 1
+                value = int(tok.text.lstrip("0") or "0")
+                return IntLit(value, line=tok.line, col=tok.col), 1
             return Var(tok.text, line=tok.line, col=tok.col), 1
         if tok.text not in ("-", "!", "("):
             self._error("expected expression", expected=("integer", "identifier", "("))

@@ -274,3 +274,42 @@ def test_module_entry_point_matches_in_process_output(capsys):
     result = cli_subprocess("run", PROGRAMS / "priority_order.ap")
     assert result.returncode == 0
     assert result.stdout == "231\n"
+
+
+def cli_result(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ("--budget", "0")),
+    ("run", ("--budget", "5")),
+    ("run", ("--trace", "{trace}")),
+    ("run", ("--dump-final-store",)),
+    ("parse", ("--emit-ast",)),
+], ids=["budget-0", "budget-5", "trace", "dump-final-store", "emit-ast"])
+def test_calls_in_one_process_share_no_state(tmp_path, capsys, command, flags):
+    # main reuses one argument parser: a flag given to one call must not
+    # reach the next call, which omits it.
+    trace = tmp_path / "t.jsonl"
+    first = (command, PROGRAMS / "snapshot.ap", *(f.format(trace=trace) for f in flags))
+    second = (command, PROGRAMS / "snapshot.ap")
+    second_alone = cli_result(capsys, *second)
+    first_alone = cli_result(capsys, *first)
+    for _ in range(2):
+        assert cli_result(capsys, *first) == first_alone
+        assert trace.exists() == ("--trace" in flags)
+        trace.unlink(missing_ok=True)
+        assert cli_result(capsys, *second) == second_alone
+        assert not trace.exists()
+    assert second_alone[0] == 0 and second_alone[2] == ""
+    assert "--trace" in flags or first_alone != second_alone
+    if flags == ("--budget", "0"):
+        assert first_alone[0] == 2
+        assert first_alone[2].startswith("usage: priopost run")
+        assert "budget must be at least 1" in first_alone[2]

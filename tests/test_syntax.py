@@ -70,14 +70,53 @@ def test_tokenize_skips_line_comments():
 
 
 def test_tokenize_rejects_stray_character():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         tokenize("x @ y")
+    assert str(info.value) == "1:3 unexpected character '@'"
+
+
+def lexed(source):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+
+
+@pytest.mark.parametrize("source, tokens", [
+    ("x // c", [("ident", "x", 1, 1), ("eof", "", 1, 3)]),
+    ("x // c\n", [("ident", "x", 1, 1), ("eof", "", 2, 1)]),
+    ("a//b", [("ident", "a", 1, 1), ("eof", "", 1, 2)]),
+    ("\tx\r y", [("ident", "x", 1, 2), ("ident", "y", 1, 5), ("eof", "", 1, 6)]),
+    (str(I64_MAX), [("int", str(I64_MAX), 1, 1), ("eof", "", 1, 20)]),
+    ("0" * 5000 + "7", [("int", "0" * 5000 + "7", 1, 1), ("eof", "", 1, 5002)]),
+], ids=["comment-at-eof", "comment-then-newline", "comment-glued", "tab-and-cr",
+        "i64-max", "5000-leading-zeros"])
+def test_tokenize_edge_cases(source, tokens):
+    assert lexed(source) == tokens
+
+
+@pytest.mark.parametrize("source, error", [
+    (f"x := {I64_MAX + 1}", "1:6 integer literal out of range"),
+    ("x := " + "1" * 25, "1:6 integer literal out of range"),
+    ("x :=\n  " + "9" * 5000, "2:3 integer literal out of range"),
+    ("x \u00e9", "1:3 unexpected character '\u00e9'"),
+    ("x\f", "1:2 unexpected character '\\x0c'"),
+    ("x : 1", "1:3 unexpected character ':'"),
+    ("x = 1", "1:3 unexpected character '='"),
+], ids=["i64-max-plus-1", "25-digits", "5000-digits", "e-acute", "form-feed",
+        "lone-colon", "lone-equals"])
+def test_tokenize_error_positions(source, error):
+    with pytest.raises(ParseError) as info:
+        tokenize(source)
+    assert str(info.value) == error
 
 
 def test_int_literal_at_limit_parses():
     prog = parse_program(f"global g; meth m(x) {{ g := {I64_MAX}; }}")
     assign = prog.methods[0].body.stmts[0]
     assert assign.expr == IntLit(I64_MAX)
+
+
+def test_int_literal_with_5000_leading_zeros_parses():
+    prog = parse_program(f"global g; meth m(x) {{ g := {'0' * 5000}7; }}")
+    assert prog.methods[0].body.stmts[0].expr == IntLit(7)
 
 
 def test_int_literal_out_of_range_rejected():
