@@ -36,7 +36,6 @@ from .syntax import (
     Binary,
     Expr,
     If,
-    Method,
     Priority,
     Program,
     Provided,
@@ -110,41 +109,26 @@ def _expr_can_fault(expr: Expr) -> bool:
     return any(_divides(e) for e in walk(expr))
 
 
-def _calls_in(method: Method):
-    for s in walk(method.body):
-        if type(s) is Run:
-            yield "run", s.method, None, s.line, s.col
-        elif type(s) is Synch:
-            yield "post", s.method, s.priority, s.line, s.col
-
-
-def build_post_graph(program: Program) -> PostGraph:
-    """Enumerate every syntactic run/synch edge, reachable or not."""
-    edges = []
+def _survey(program: Program):
+    """Walk each method body once.  Returns the run/post graph, the
+    effect-free names (see ``find_effect_free``) and the synch statements."""
+    edges, targets, quiet, synchs = [], {}, set(), []
     for m in program.methods:
-        for kind, target, priority, line, col in _calls_in(m):
-            edges.append(PostEdge(m.name, target, kind, priority, line, col))
-    return PostGraph([m.name for m in program.methods], edges)
-
-
-def _is_quiet(method: Method) -> bool:
-    return not any(isinstance(node, (AssignGlobal, Provided, While)) or _divides(node)
-                   for node in walk(method.body))
-
-
-def find_effect_free(program: Program) -> set[str]:
-    """The largest set of methods whose execution is unobservable.
-
-    A worklist least fixpoint over the run/post graph: a quiet method
-    joins once every method it runs or posts has joined, so a method
-    that reaches a cycle, a disqualified method or an undeclared one
-    never does.  Each edge is counted down once, with no recursion, and
-    the result does not depend on the order sets iterate in.  A name
-    declared twice (a scope error) is quiet when any declaration is, and
-    its last declaration gives its calls.
-    """
-    targets = {m.name: [t for _, t, _, _, _ in _calls_in(m)] for m in program.methods}
-    quiet = {m.name for m in program.methods if _is_quiet(m)}
+        first = len(edges)
+        loud = False
+        for node in walk(m.body):
+            kind = type(node)
+            if kind is Run:
+                edges.append(PostEdge(m.name, node.method, "run", None, node.line, node.col))
+            elif kind is Synch:
+                edges.append(PostEdge(m.name, node.method, "post", node.priority,
+                                      node.line, node.col))
+                synchs.append(node)
+            elif kind is AssignGlobal or kind is Provided or kind is While or _divides(node):
+                loud = True
+        targets[m.name] = [e.dst for e in edges[first:]]
+        if not loud:
+            quiet.add(m.name)
     waiting = {name: len(targets[name]) for name in quiet}
     callers = defaultdict(list)
     for name in quiet:
@@ -159,18 +143,33 @@ def find_effect_free(program: Program) -> set[str]:
             waiting[caller] -= 1
             if waiting[caller] == 0:
                 ready.append(caller)
-    return free
+    return PostGraph([m.name for m in program.methods], edges), free, synchs
+
+
+def build_post_graph(program: Program) -> PostGraph:
+    """Enumerate every syntactic run/synch edge, reachable or not."""
+    return _survey(program)[0]
+
+
+def find_effect_free(program: Program) -> set[str]:
+    """The largest set of methods whose execution is unobservable.
+
+    A worklist least fixpoint over the run/post graph: a quiet method
+    joins once every method it runs or posts has joined, so a method
+    that reaches a cycle, a disqualified method or an undeclared one
+    never does.  Each edge is counted down once, with no recursion, and
+    the result does not depend on the order sets iterate in.  A name
+    declared twice (a scope error) is quiet when any declaration is, and
+    its last declaration gives its calls.
+    """
+    return _survey(program)[1]
 
 
 def dead_posts(program: Program) -> AnalysisReport:
     """Flag every synch of an effect-free method with a fault-free argument."""
-    free = find_effect_free(program)
-    graph = build_post_graph(program)
-    flagged = []
-    for m in program.methods:
-        for s in walk(m.body):
-            if type(s) is Synch and s.method in free and not _expr_can_fault(s.arg):
-                flagged.append(DeadPost(s.method, s.line, s.col))
+    graph, free, synchs = _survey(program)
+    flagged = [DeadPost(s.method, s.line, s.col) for s in synchs
+               if s.method in free and not _expr_can_fault(s.arg)]
     return AnalysisReport(free, flagged, graph)
 
 

@@ -262,12 +262,17 @@ def test_adding_a_global_assign_never_grows_effect_free():
 def test_fixpoint_matches_reachability_reference():
     # Reference: m is effect-free iff every method reachable from m is
     # quiet and the reachable subgraph contains no run/post cycle.
-    from priopost.analysis import _calls_in, _is_quiet
+    from priopost.syntax import Binary, Provided, Run, Synch, While, walk
+
+    def is_quiet(m):
+        return not any(isinstance(n, (AssignGlobal, Provided, While))
+                       or isinstance(n, Binary) and n.op in ("/", "%")
+                       for n in walk(m.body))
 
     def reference(p):
-        targets = {m.name: [t for _, t, _, _, _ in _calls_in(m)]
+        targets = {m.name: [n.method for n in walk(m.body) if isinstance(n, (Run, Synch))]
                    for m in p.methods}
-        quiet = {m.name for m in p.methods if _is_quiet(m)}
+        quiet = {m.name for m in p.methods if is_quiet(m)}
 
         def reach(start):
             seen, todo = set(), [start]
