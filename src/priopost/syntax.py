@@ -210,13 +210,21 @@ class Token(NamedTuple):
     col: int
 
 
-# One match per newline, end of file, token or bad character, blanks
-# folded in front; a comment ends at a newline or at the end of the file,
-# so it is folded in front of those.  The group that matched is the kind.
-_LEXEME = re.compile(
-    r"[ \t\r]*(?:([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|(:=|==|!=|<=|>=|[-+*%<>!(){};,])"
-    r"|(?://[^\n]*)?(\n)|()(?://[^\n]*)?\Z|(/)|(.))", re.S)
-_WORD, _INT, _OP, _NEWLINE, _EOF, _SLASH, _BAD = range(1, 8)
+# One match per token, newline, end of file or bad character, with the
+# blanks before it folded in.  A comment runs to a newline or to the end
+# of the file, so it is folded in front of those two.  The number of the
+# group that matched gives the kind.
+_LEXEME = re.compile(r"""
+    [ \t\r]*
+    (?: ([A-Za-z_][A-Za-z0-9_]*)            # 1 identifier or keyword
+      | ([0-9]+)                            # 2 integer
+      | (:=|==|!=|<=|>=|[-+*%<>!(){};,])    # 3 operator other than /
+      | (?://[^\n]*)?(\n)                   # 4 newline
+      | ()(?://[^\n]*)?\Z                   # 5 end of file
+      | (/)                                 # 6 / that starts no comment
+      | (.)                                 # 7 bad character
+    )""", re.S | re.X)
+_WORD, _INT, _OP, _NEWLINE, _EOF, _SLASH = range(1, 7)
 
 
 def tokenize(source: str) -> list[Token]:
