@@ -41,10 +41,7 @@ def _load_program(path: str) -> Program | None:
     return program
 
 
-def cmd_parse(path: str, emit_ast: bool = False) -> int:
-    program = _load_program(path)
-    if program is None:
-        return 2
+def cmd_parse(program: Program, emit_ast: bool = False) -> int:
     if emit_ast:
         print(json.dumps(ast_to_dict(program)))
     else:
@@ -52,11 +49,8 @@ def cmd_parse(path: str, emit_ast: bool = False) -> int:
     return 0
 
 
-def cmd_run(path: str, budget: int = DEFAULT_BUDGET, trace_path: str | None = None,
+def cmd_run(program: Program, budget: int = DEFAULT_BUDGET, trace_path: str | None = None,
             dump_final_store: bool = False) -> int:
-    program = _load_program(path)
-    if program is None:
-        return 2
     interp = Interpreter(program, budget=budget, trace=trace_path is not None)
     outcome = interp.run()
     if trace_path is not None:
@@ -81,10 +75,7 @@ def cmd_run(path: str, budget: int = DEFAULT_BUDGET, trace_path: str | None = No
     return 0
 
 
-def cmd_analyze(path: str) -> int:
-    program = _load_program(path)
-    if program is None:
-        return 2
+def cmd_analyze(program: Program) -> int:
     print(json.dumps(dead_posts(program).to_json_obj()))
     return 0
 
@@ -132,12 +123,15 @@ _arg_parser = functools.cache(build_arg_parser)
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
+    program = _load_program(args.file)
+    if program is None:
+        return 2
     if args.command == "run":
-        return cmd_run(args.file, budget=args.budget, trace_path=args.trace,
+        return cmd_run(program, budget=args.budget, trace_path=args.trace,
                        dump_final_store=args.dump_final_store)
     if args.command == "parse":
-        return cmd_parse(args.file, emit_ast=args.emit_ast)
-    return cmd_analyze(args.file)
+        return cmd_parse(program, emit_ast=args.emit_ast)
+    return cmd_analyze(program)
 
 
 def entry():

@@ -43,7 +43,6 @@ from .syntax import (
     Binary,
     If,
     IntLit,
-    Method,
     Priority,
     Program,
     Provided,
@@ -129,20 +128,8 @@ def _div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-class _Dispatch(dict):
-    """Handlers keyed by node type or operator; a missing key raises ``error``."""
-
-    def __init__(self, handlers: dict, error: type[Exception], message: str):
-        super().__init__(handlers)
-        self.error = error
-        self.message = message
-
-    def __missing__(self, key):
-        raise self.error(self.message.format(key))
-
-
 # Binary operators on Python ints, before the signed 64-bit range check.
-_BINARY = _Dispatch({
+_BINARY = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
@@ -156,7 +143,11 @@ _BINARY = _Dispatch({
     ">=": lambda a, b: 1 if a >= b else 0,
     "and": lambda a, b: 1 if a != 0 and b != 0 else 0,
     "or": lambda a, b: 1 if a != 0 or b != 0 else 0,
-}, ValueError, "unknown operator {!r}")
+}
+
+
+class _Returned(Exception):
+    """Raised by ``return()``; the activation it ends catches it."""
 
 
 class Interpreter:
@@ -173,10 +164,13 @@ class Interpreter:
     The walker dispatches on ``type(node)`` through two handler tables.
     Each statement handler takes its own step and calls the handlers of
     its children directly, so one level of statement nesting costs one
-    Python frame.  A statement handler returns True when control falls
-    through to the next statement and False when a ``return()`` unwound
-    the active frame; an expression handler returns the value over the
-    global and the ``active`` method's local.
+    Python frame.  A statement handler returns nothing; an expression
+    handler returns the value over the global and the ``active``
+    method's local.  ``return()`` takes its step and raises
+    ``_Returned``, which unwinds the rest of the body to the activation
+    that is open: ``_activate`` or its copy inlined in ``_exec_run``.
+    Only there is a frame popped and its ``return`` event emitted, so a
+    body that runs off its end and one that returns early close alike.
     """
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
@@ -192,16 +186,16 @@ class Interpreter:
         self._tracing = trace
         self._post_seq = 0
         self._local_of = {m.name: m.local for m in program.methods}
-        self._eval = _Dispatch({
+        self._eval = {
             IntLit: self._eval_int, Var: self._eval_var,
             Unary: self._eval_unary, Binary: self._eval_binary,
-        }, TypeError, "not an expression: {!r}")
-        self._exec = _Dispatch({
+        }
+        self._exec = {
             Seq: self._exec_seq, AssignGlobal: self._exec_assign_global,
             AssignLocal: self._exec_assign_local, Provided: self._exec_provided,
             If: self._exec_if, While: self._exec_while, Run: self._exec_run,
             Return: self._exec_return, Synch: self._exec_synch,
-        }, TypeError, "not a statement: {!r}")
+        }
 
     # -- bookkeeping --
 
@@ -250,55 +244,48 @@ class Interpreter:
 
     # -- statements --
 
-    def _exec_seq(self, stmt: Seq) -> bool:
+    def _exec_seq(self, stmt: Seq):
         self._tick(stmt)
         handlers = self._exec
         for sub in stmt.stmts:
-            if not handlers[type(sub)](sub):
-                return False
-        return True
+            handlers[type(sub)](sub)
 
-    def _exec_assign_global(self, stmt: AssignGlobal) -> bool:
+    def _exec_assign_global(self, stmt: AssignGlobal):
         self._tick(stmt)
         active = self.stack[-1]
         expr = stmt.expr
         v = self.store.global_value = self._eval[type(expr)](expr, active)
         if self._tracing:
             self._emit("assign-global", active, v)
-        return True
 
-    def _exec_assign_local(self, stmt: AssignLocal) -> bool:
+    def _exec_assign_local(self, stmt: AssignLocal):
         self._tick(stmt)
         active = self.stack[-1]
         expr = stmt.expr
         self.store.locals[active] = self._eval[type(expr)](expr, active)
-        return True
 
-    def _exec_provided(self, stmt: Provided) -> bool:
+    def _exec_provided(self, stmt: Provided):
         self._tick(stmt)
         expr = stmt.expr
         if self._eval[type(expr)](expr, self.stack[-1]) == 0:
             raise ExecFailure(PROVIDED_FAILED, stmt.line, stmt.col)
-        return True
 
-    def _exec_if(self, stmt: If) -> bool:
+    def _exec_if(self, stmt: If):
         self._tick(stmt)
         cond = stmt.cond
         taken = stmt.then if self._eval[type(cond)](cond, self.stack[-1]) != 0 else stmt.orelse
-        return self._exec[type(taken)](taken)
+        self._exec[type(taken)](taken)
 
-    def _exec_while(self, stmt: While) -> bool:
+    def _exec_while(self, stmt: While):
         self._tick(stmt)
         active = self.stack[-1]
         cond, body = stmt.cond, stmt.body
         test, run_body = self._eval[type(cond)], self._exec[type(body)]
         while test(cond, active) != 0:
-            if not run_body(body):
-                return False
+            run_body(body)
             self._tick(stmt)
-        return True
 
-    def _exec_run(self, stmt: Run) -> bool:
+    def _exec_run(self, stmt: Run):
         self._tick(stmt)
         arg, method = stmt.arg, stmt.method
         v = self._eval[type(arg)](arg, self.stack[-1])
@@ -310,20 +297,19 @@ class Interpreter:
         # ``_activate`` inlined, so a run chain costs no extra frame per level.
         self.stack.append(method)
         body = self.methods[method].body
-        if self._exec[type(body)](body):
-            self.stack.pop()
-            if self._tracing:
-                self._emit("return", method)
-        return True
-
-    def _exec_return(self, stmt: Return) -> bool:
-        self._tick(stmt)
-        popped = self.stack.pop()
+        try:
+            self._exec[type(body)](body)
+        except _Returned:
+            pass
+        self.stack.pop()
         if self._tracing:
-            self._emit("return", popped)
-        return False
+            self._emit("return", method)
 
-    def _exec_synch(self, stmt: Synch) -> bool:
+    def _exec_return(self, stmt: Return):
+        self._tick(stmt)
+        raise _Returned
+
+    def _exec_synch(self, stmt: Synch):
         self._tick(stmt)
         arg, method = stmt.arg, stmt.method
         if method not in self.methods:
@@ -334,44 +320,38 @@ class Interpreter:
         self.postlist = self.postlist.add(node)
         if self._tracing:
             self._emit("post", method, v, stmt.priority)
-        return True
 
-    # -- methods, dispatch, whole programs --
+    # -- activations and whole runs --
 
     def _activate(self, method: str, body: Seq):
-        """Push a frame, run the body, and pop it if it ran off the end."""
+        """Push a frame, run the body, pop the frame and emit ``return``."""
         self.stack.append(method)
-        if self._exec[type(body)](body):
-            # Implicit return: every activation closes with one return event.
-            self.stack.pop()
-            if self._tracing:
-                self._emit("return", method)
-
-    def run_top_level_method(self, method: Method):
-        """One startup activation: push, run the body, pop."""
-        self._tick(method)
+        try:
+            self._exec[type(body)](body)
+        except _Returned:
+            pass
+        self.stack.pop()
         if self._tracing:
-            self._emit("method-start", method.name)
-        self._activate(method.name, method.body)
-        if self._tracing:
-            self._emit("method-end", method.name)
-
-    def dispatch_loop(self):
-        """Drain the post queue: highest priority first, FIFO within."""
-        while not self.postlist.is_empty():
-            node, self.postlist = self.postlist.remove_first()
-            self._tick(node.arg_expr)
-            self.store.locals[node.method] = node.arg_value
-            if self._tracing:
-                self._emit("dispatch", node.method, node.arg_value, node.priority)
-            self._activate(node.method, self.methods[node.method].body)
+            self._emit("return", method)
 
     def run(self) -> Outcome:
         """Startup phase, then drain; the program must be scope-valid."""
         try:
             for method in self.program.methods:
-                self.run_top_level_method(method)
-            self.dispatch_loop()
+                self._tick(method)
+                if self._tracing:
+                    self._emit("method-start", method.name)
+                self._activate(method.name, method.body)
+                if self._tracing:
+                    self._emit("method-end", method.name)
+            # Drain: highest priority first, FIFO within a priority.
+            while not self.postlist.is_empty():
+                node, self.postlist = self.postlist.remove_first()
+                self._tick(node.arg_expr)
+                self.store.locals[node.method] = node.arg_value
+                if self._tracing:
+                    self._emit("dispatch", node.method, node.arg_value, node.priority)
+                self._activate(node.method, self.methods[node.method].body)
         except ExecFailure as failure:
             if self._tracing:
                 active = self.stack[-1] if self.stack else None
@@ -381,15 +361,13 @@ class Interpreter:
         return Finished(self.store.global_value, self.trace)
 
 
-def run_program(program: Program, budget: int = DEFAULT_BUDGET,
-                postlist=None) -> Outcome:
-    """Run a scope-valid program to its terminal state.
+def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
+    """Run a scope-valid program to its terminal state on an ``AsynchList``.
 
-    ``postlist`` selects the queue implementation (default
-    ``AsynchList``; pass ``OracleQueue.empty()`` to cross-check the
-    scheduler).
+    To run on another queue, such as ``OracleQueue.empty()`` to
+    cross-check the scheduler, pass it as ``Interpreter``'s ``postlist``.
     """
-    return Interpreter(program, budget=budget, postlist=postlist).run()
+    return Interpreter(program, budget=budget).run()
 
 
 def trace_to_jsonl(outcome: Outcome) -> str:

@@ -565,21 +565,20 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
 
 
 def _format_block(s: Stmt, indent: int, out: list[str]):
+    if not isinstance(s, Seq):
+        raise TypeError(f"not a block: {s!r}")
     pad = "    " * indent
     out.append("{")
-    stmts = s.stmts if isinstance(s, Seq) else [s]
-    for sub in stmts:
+    for sub in s.stmts:
         out.append("\n" + pad + "    ")
         _format_stmt(sub, indent + 1, out)
-    if stmts:
+    if s.stmts:
         out.append("\n" + pad)
     out.append("}")
 
 
 def _format_stmt(s: Stmt, indent: int, out: list[str]):
     match s:
-        case Seq(_):
-            _format_block(s, indent, out)
         case AssignGlobal(name, expr) | AssignLocal(name, expr):
             out.append(f"{name} := {format_expr(expr)};")
         case Provided(expr):
@@ -603,7 +602,12 @@ def _format_stmt(s: Stmt, indent: int, out: list[str]):
 
 
 def pretty_print(program: Program) -> str:
-    """Emit canonical source text; reparsing it yields an equal AST."""
+    """Emit canonical source text; reparsing it yields an equal AST.
+
+    A tree the grammar cannot express (a ``Seq`` used as a statement, an
+    ``if`` or ``while`` branch that is not a ``Seq``, a foreign node)
+    raises ``TypeError``.
+    """
     out = [f"global {program.global_name};\n"]
     for m in program.methods:
         out.append(f"\nmeth {m.name}({m.local}) ")

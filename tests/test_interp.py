@@ -2,22 +2,31 @@
 dispatch order, snapshots, stack discipline, failures, and the trace format.
 
 Programs are written as source text and parsed, so these tests exercise the
-whole front end; outcomes and traces are checked against hand-computed
-values.
+whole front end; only the foreign-node tests build their trees by hand.
+Outcomes and traces are checked against hand-computed values.
 """
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from priopost import (
     DEFAULT_BUDGET,
+    AssignGlobal,
     AsynchList,
+    Binary,
+    Expr,
     Failed,
     Finished,
+    IntLit,
     Interpreter,
+    Method,
     OracleQueue,
     Priority,
+    Program,
+    Seq,
+    Stmt,
     parse_program,
     pretty_print,
     run_program,
@@ -443,6 +452,27 @@ def test_oracle_queue_drop_in_gives_identical_trace():
     via_list = trace_to_jsonl(Interpreter(prog).run())
     via_oracle = trace_to_jsonl(Interpreter(prog, postlist=OracleQueue()).run())
     assert via_list == via_oracle
+
+
+@dataclass
+class ForeignStmt(Stmt):
+    """A statement type the interpreter has no handler for."""
+
+
+@dataclass
+class ForeignExpr(Expr):
+    """An expression type the interpreter has no handler for."""
+
+
+@pytest.mark.parametrize("stmt", [
+    ForeignStmt(),
+    AssignGlobal("g", ForeignExpr()),
+    AssignGlobal("g", Binary("**", IntLit(2), IntLit(3))),
+], ids=["statement", "expression", "operator"])
+def test_foreign_node_raises_instead_of_an_outcome(stmt):
+    program = Program("g", [Method("m", "x", Seq([stmt]))])
+    with pytest.raises(KeyError):
+        Interpreter(program).run()
 
 
 def run_observed(program, budget: int, trace: bool):

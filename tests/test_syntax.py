@@ -285,6 +285,20 @@ def test_pretty_print_right_operand_parens_under_associativity():
     assert shape(format_expr(expr)) == expr
 
 
+@pytest.mark.parametrize("stmt", [
+    Seq([AssignGlobal("g", IntLit(1))]),
+    If(Var("x"), AssignGlobal("g", IntLit(1)), Seq([])),
+    If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1))),
+    While(Var("x"), AssignLocal("x", IntLit(0))),
+], ids=["block-as-statement", "then", "else", "while"])
+def test_pretty_print_rejects_trees_the_grammar_cannot_express(stmt):
+    # A bare block is no statement ("expected statement" on reparse), and
+    # a branch that is not a Seq would print as a block and reparse as one.
+    program = Program("g", [Method("m", "x", Seq([stmt]))])
+    with pytest.raises(TypeError):
+        pretty_print(program)
+
+
 # ---------------------------------------------------------------- totality
 
 @settings(max_examples=300, deadline=None)
