@@ -28,7 +28,7 @@ from .interp import (
     run_program,
     trace_to_jsonl,
 )
-from .postlist import AsynchList, AsynchNode, EmptyListError, OracleQueue
+from .postlist import AsynchList, AsynchNode, EmptyListError, MarkerList, OracleQueue
 from .syntax import (
     AssignGlobal,
     AssignLocal,
@@ -62,7 +62,7 @@ __all__ = [
     "build_post_graph", "dead_posts", "find_effect_free", "strip_dead_posts",
     "DEFAULT_BUDGET", "ExecFailure", "Failed", "Finished", "Interpreter",
     "Outcome", "Store", "TraceEvent", "run_program", "trace_to_jsonl",
-    "AsynchList", "AsynchNode", "EmptyListError", "OracleQueue",
+    "AsynchList", "AsynchNode", "EmptyListError", "MarkerList", "OracleQueue",
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",
     "Run", "ScopeError", "Seq", "Stmt", "Synch", "Unary", "Var", "While",

@@ -157,6 +157,13 @@ class Interpreter:
     stay inspectable after ``run`` returns, which the test suite uses
     to audit terminal states.
 
+    ``postlist`` is the post queue to run on: by default a new
+    ``AsynchList``, or any queue with its interface, such as
+    ``MarkerList.empty()`` or ``OracleQueue()``.  ``add`` and
+    ``remove_first`` return the queue to use next and may update their
+    receiver in place, as ``AsynchList`` does, so a queue passed in is
+    mutated by the run.
+
     With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
     ``[]`` and so does the outcome's, while the outcome, the store and
     ``step_count`` are the same as with ``trace=True``.
@@ -362,10 +369,11 @@ class Interpreter:
 
 
 def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
-    """Run a scope-valid program to its terminal state on an ``AsynchList``.
+    """Run a scope-valid program to its terminal state on a new ``AsynchList``.
 
-    To run on another queue, such as ``OracleQueue.empty()`` to
-    cross-check the scheduler, pass it as ``Interpreter``'s ``postlist``.
+    To run on another queue, such as ``MarkerList.empty()`` or
+    ``OracleQueue()`` to cross-check the scheduler, pass it as
+    ``Interpreter``'s ``postlist``, which the run may mutate.
     """
     return Interpreter(program, budget=budget).run()
 

@@ -1,22 +1,36 @@
-"""The post queue: a three-region FIFO list of posted calls.
+"""The post queue: posted calls in three priority regions.
 
-Posted calls live in a single sequence split into a high, a medium,
-and a low region.  A new high-priority node is inserted right after
-the last high node (at the front when there is none), a medium node
-right after the last medium node (after the high region when there is
-none), and a low node at the end.  Dispatch always removes the head,
-so the observable order is: ascending priority rank, first-posted
-first within a rank.
+Posted calls are split into a high, a medium and a low region.  A new
+node joins the tail of its priority region, and dispatch removes the
+head of the first region that is not empty, so the observable order is:
+ascending priority rank, first-posted first within a rank.
 
-Lists are immutable; ``add`` and ``remove_first`` return new lists and
-leave the receiver untouched.  ``OracleQueue`` is a deliberately naive
-reference with the same interface (a flat bag dequeued by a stable
-sort on ``(rank, seq)``) used to cross-check the region bookkeeping.
+Three queues share one interface (``empty``, ``is_empty``, ``len``,
+``add``, ``remove_first``, ``to_sequence``):
+
+* ``AsynchList``, the production queue, is one FIFO deque per region,
+  updated in place.  ``add`` and ``remove_first`` are O(1) at any depth
+  and return the receiver.
+* ``MarkerList`` is the paper's structure: one immutable tuple with the
+  positions of the last high and last medium node as region-tail
+  markers.  ``add`` and ``remove_first`` return new lists and leave the
+  receiver untouched; each copies the tuple, so a drain is quadratic in
+  queue depth.
+* ``OracleQueue`` is a deliberately naive reference (a flat bag
+  dequeued by a stable sort on ``(rank, seq)``) used to cross-check the
+  other two.
+
+A caller always continues with the queue that ``add`` or
+``remove_first`` returns, so the in-place and the immutable queues drop
+in alike.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .syntax import Expr, Priority
 
@@ -40,14 +54,87 @@ class AsynchNode:
     seq: int
 
 
-@dataclass(frozen=True)
 class AsynchList:
-    """Post queue with explicit region-tail markers.
+    """Production post queue: one FIFO deque per priority region.
+
+    ``regions`` holds the high, medium and low deques, in dispatch
+    order.  ``add`` and ``remove_first`` update them in place and return
+    the receiver; ``check_invariants`` audits them.
+    """
+
+    __slots__ = ("regions",)
+
+    def __init__(self):
+        self.regions = (deque(), deque(), deque())
+
+    @classmethod
+    def empty(cls) -> "AsynchList":
+        return cls()
+
+    @property
+    def nodes(self) -> "AsynchList":
+        """The queued nodes in dispatch order: a live view with O(1) ``len``."""
+        return self
+
+    def __iter__(self) -> Iterator[AsynchNode]:
+        return chain.from_iterable(self.regions)
+
+    def __len__(self) -> int:
+        high, medium, low = self.regions
+        return len(high) + len(medium) + len(low)
+
+    def is_empty(self) -> bool:
+        high, medium, low = self.regions
+        return not (high or medium or low)
+
+    def to_sequence(self) -> tuple[AsynchNode, ...]:
+        return tuple(self)
+
+    def add(self, node: AsynchNode) -> "AsynchList":
+        """Append a node to the tail of its priority region; return the receiver."""
+        self.regions[node.priority.rank - 1].append(node)
+        return self
+
+    def remove_first(self) -> tuple[AsynchNode, "AsynchList"]:
+        """Remove and return the head node together with the receiver."""
+        for region in self.regions:
+            if region:
+                return region.popleft(), self
+        raise EmptyListError("remove from empty post list")
+
+    def check_invariants(self) -> list[str]:
+        """Audit region membership, FIFO order, and seq uniqueness.
+
+        Returns a list of violation descriptions; empty means the queue
+        is well formed.
+        """
+        violations = []
+        seen: set[int] = set()
+        for rank, region in enumerate(self.regions, start=1):
+            for n in region:
+                if n.priority.rank != rank:
+                    violations.append(f"seq {n.seq} of rank {n.priority.rank} "
+                                      f"is in the rank-{rank} region")
+            seqs = [n.seq for n in region]
+            if seqs != sorted(seqs):
+                violations.append(f"rank-{rank} region is not in post order")
+            seen.update(seqs)
+        if len(seen) != len(self):
+            violations.append("duplicate seq values")
+        return violations
+
+
+@dataclass(frozen=True)
+class MarkerList:
+    """The paper's post queue: an immutable tuple with region-tail markers.
 
     ``high_tail`` / ``medium_tail`` are the positions of the last high
     and last medium node (None when that region is empty); they are
     maintained incrementally by ``add`` and ``remove_first`` and can be
-    audited with ``check_invariants``.
+    audited with ``check_invariants``.  A high node is inserted right
+    after the last high node (at the front when there is none), a medium
+    node right after the last medium node (after the high region when
+    there is none), and a low node at the end.
     """
 
     nodes: tuple[AsynchNode, ...] = ()
@@ -55,17 +142,8 @@ class AsynchList:
     medium_tail: int | None = None
 
     @classmethod
-    def empty(cls) -> "AsynchList":
+    def empty(cls) -> "MarkerList":
         return cls()
-
-    @property
-    def first_marker(self) -> int | None:
-        return 0 if self.nodes else None
-
-    @property
-    def current_marker(self) -> int | None:
-        # Next node to dispatch is always the head.
-        return self.first_marker
 
     def is_empty(self) -> bool:
         return not self.nodes
@@ -76,7 +154,7 @@ class AsynchList:
     def to_sequence(self) -> tuple[AsynchNode, ...]:
         return self.nodes
 
-    def add(self, node: AsynchNode) -> "AsynchList":
+    def add(self, node: AsynchNode) -> "MarkerList":
         """Insert a node at the tail of its priority region."""
         high_tail = self.high_tail
         medium_tail = self.medium_tail
@@ -97,9 +175,9 @@ class AsynchList:
         else:
             pos = len(self.nodes)
         nodes = self.nodes[:pos] + (node,) + self.nodes[pos:]
-        return AsynchList(nodes, high_tail, medium_tail)
+        return type(self)(nodes, high_tail, medium_tail)
 
-    def remove_first(self) -> tuple[AsynchNode, "AsynchList"]:
+    def remove_first(self) -> tuple[AsynchNode, "MarkerList"]:
         """Remove and return the head node together with the remainder."""
         if not self.nodes:
             raise EmptyListError("remove from empty post list")
@@ -108,7 +186,7 @@ class AsynchList:
         medium_tail = self.medium_tail
         high_tail = None if high_tail in (None, 0) else high_tail - 1
         medium_tail = None if medium_tail in (None, 0) else medium_tail - 1
-        return head, AsynchList(self.nodes[1:], high_tail, medium_tail)
+        return head, type(self)(self.nodes[1:], high_tail, medium_tail)
 
     def check_invariants(self) -> list[str]:
         """Audit region order, FIFO order, and marker coherence.
@@ -146,7 +224,7 @@ class OracleQueue:
     """Brute-force reference queue: a flat bag ordered on demand.
 
     Dequeue order is a stable ascending sort by ``(priority rank,
-    seq)``, which is the whole behavioural contract of ``AsynchList``
+    seq)``, which is the whole behavioural contract of the post queue
     in one line.
     """
 

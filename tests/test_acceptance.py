@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 Every criterion is checked against an independent oracle: hand-computed
 traces for the targeted programs, the brute-force OracleQueue for queue
-order, a reparse oracle for printing, and differential runs for the
+order and for the paper's MarkerList, a reparse oracle for printing, and differential runs for the
 dead-post analysis.  Randomized corpora use fixed seeds, so results are
 reproducible byte for byte.
 """
@@ -21,6 +21,7 @@ from priopost import (
     Finished,
     IntLit,
     Interpreter,
+    MarkerList,
     OracleQueue,
     Priority,
     dead_posts,
@@ -173,12 +174,13 @@ def test_a3_queue_oracle_equivalence():
 
 # --------------------------------------------------------------------- A4
 
-@criterion("A4", "region queue and oracle queue produce byte-identical traces")
+@criterion("A4", "deque, marker and oracle queues produce byte-identical traces")
 def test_a4_scheduler_representation_equivalence(corpus):
     for program in corpus:
         via_list = trace_to_jsonl(Interpreter(program).run())
+        via_markers = trace_to_jsonl(Interpreter(program, postlist=MarkerList.empty()).run())
         via_oracle = trace_to_jsonl(Interpreter(program, postlist=OracleQueue()).run())
-        assert via_list == via_oracle, pretty_print(program)
+        assert via_list == via_markers == via_oracle, pretty_print(program)
 
 
 # --------------------------------------------------------------------- A5

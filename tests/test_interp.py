@@ -7,6 +7,7 @@ Outcomes and traces are checked against hand-computed values.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -21,6 +22,7 @@ from priopost import (
     Finished,
     IntLit,
     Interpreter,
+    MarkerList,
     Method,
     OracleQueue,
     Priority,
@@ -345,6 +347,39 @@ def test_repost_chain_runs_to_completion():
     assert len(events(src, "dispatch")) == 6
 
 
+def test_deep_queue_drains_in_rank_then_post_order():
+    # Startup posts 16,000 work calls at high or medium; each dispatched
+    # work posts a low tail call.  The global is an order-sensitive hash,
+    # replayed here over three plain FIFOs by the README's order rule.
+    posts, mod = 16_000, 1_000_003
+    src = f"""
+    global g;
+    meth fan(i) {{
+        while i < {posts} {{
+            i := i + 1;
+            if i % 7 < 3 {{ synch(work(i), high); }} else {{ synch(work(i), medium); }}
+        }}
+    }}
+    meth work(x) {{ if x {{ g := (g * 31 + x) % {mod}; synch(tail(x), low); }} else {{ }} }}
+    meth tail(y) {{ if y {{ g := (g * 17 + y) % {mod}; }} else {{ }} }}
+    """
+    fifos = {"high": deque(), "medium": deque(), "low": deque()}
+    for i in range(1, posts + 1):
+        fifos["high" if i % 7 < 3 else "medium"].append(("work", i))
+    g = 0
+    while any(fifos.values()):
+        method, arg = next(q for q in fifos.values() if q).popleft()
+        if method == "work":
+            g = (g * 31 + arg) % mod
+            fifos["low"].append(("tail", arg))
+        else:
+            g = (g * 17 + arg) % mod
+    out = run_src(src)
+    assert isinstance(out, Finished)
+    assert out.global_value == g
+    assert sum(e.kind == "dispatch" for e in out.trace) == 2 * posts
+
+
 # ------------------------------------------------------------ terminal form
 
 def test_finished_leaves_empty_queue_and_stack():
@@ -450,8 +485,9 @@ def test_oracle_queue_drop_in_gives_identical_trace():
     """
     prog = parse_program(src)
     via_list = trace_to_jsonl(Interpreter(prog).run())
+    via_markers = trace_to_jsonl(Interpreter(prog, postlist=MarkerList.empty()).run())
     via_oracle = trace_to_jsonl(Interpreter(prog, postlist=OracleQueue()).run())
-    assert via_list == via_oracle
+    assert via_list == via_markers == via_oracle
 
 
 @dataclass
