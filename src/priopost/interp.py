@@ -32,6 +32,8 @@ Other load-bearing choices, all observable in the trace:
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .postlist import AsynchList, AsynchNode
@@ -130,9 +132,9 @@ def _div(a: int, b: int) -> int:
 
 # Binary operators on Python ints, before the signed 64-bit range check.
 _BINARY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _div,
     "%": lambda a, b: a - _div(a, b) * b,
     "==": lambda a, b: 1 if a == b else 0,
@@ -168,16 +170,21 @@ class Interpreter:
     ``[]`` and so does the outcome's, while the outcome, the store and
     ``step_count`` are the same as with ``trace=True``.
 
-    The walker dispatches on ``type(node)`` through two handler tables.
-    Each statement handler takes its own step and calls the handlers of
-    its children directly, so one level of statement nesting costs one
-    Python frame.  A statement handler returns nothing; an expression
-    handler returns the value over the global and the ``active``
-    method's local.  ``return()`` takes its step and raises
-    ``_Returned``, which unwinds the rest of the body to the activation
-    that is open: ``_activate`` or its copy inlined in ``_exec_run``.
-    Only there is a frame popped and its ``return`` event emitted, so a
-    body that runs off its end and one that returns early close alike.
+    Code runs as closures, compiled lazily and kept on the interpreter,
+    never on the AST.  A method body is compiled the first time the
+    method is activated, and kept by method name.  An ``if`` branch or
+    a ``while`` body is compiled the first time it is taken, so code
+    that never runs is never compiled.  Each statement closure takes its
+    own step and calls its children's closures, so one level of
+    statement nesting costs one Python frame.  A ``Var`` is resolved to
+    the global or to its method's local cell when compiled; an
+    out-of-scope variable, like a ``run`` or ``synch`` to an undeclared
+    method, raises ``ValueError`` only when it executes.  ``return()``
+    takes its step and raises ``_Returned``, which unwinds the rest of
+    the body to the activation that is open: ``_activate`` or its copy
+    inlined in the ``run`` closure.  Only there is a frame popped and
+    its ``return`` event emitted, so a body that runs off its end and
+    one that returns early close alike.
     """
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
@@ -193,16 +200,7 @@ class Interpreter:
         self._tracing = trace
         self._post_seq = 0
         self._local_of = {m.name: m.local for m in program.methods}
-        self._eval = {
-            IntLit: self._eval_int, Var: self._eval_var,
-            Unary: self._eval_unary, Binary: self._eval_binary,
-        }
-        self._exec = {
-            Seq: self._exec_seq, AssignGlobal: self._exec_assign_global,
-            AssignLocal: self._exec_assign_local, Provided: self._exec_provided,
-            If: self._exec_if, While: self._exec_while, Run: self._exec_run,
-            Return: self._exec_return, Synch: self._exec_synch,
-        }
+        self._bodies: dict[str, Callable[[], None]] = {}
 
     # -- bookkeeping --
 
@@ -214,127 +212,219 @@ class Interpreter:
             raise ExecFailure(STEP_BUDGET_EXHAUSTED, node.line, node.col)
         self.step_count += 1
 
-    # -- expressions --
-
-    def _eval_int(self, expr: IntLit, active: str) -> int:
-        return expr.value
-
-    def _eval_var(self, expr: Var, active: str) -> int:
-        name = expr.name
-        if name == self.program.global_name:
-            return self.store.global_value
-        if name == self._local_of.get(active):
-            return self.store.locals[active]
-        raise ValueError(f"variable {name!r} is not in scope of {active!r}")
-
-    def _eval_unary(self, expr: Unary, active: str) -> int:
-        operand = expr.operand
-        v = self._eval[type(operand)](operand, active)
-        if expr.op != "-":
-            return 0 if v != 0 else 1
-        v = -v
-        if v < I64_MIN or v > I64_MAX:
-            raise ExecFailure(ARITH_OVERFLOW, expr.line, expr.col)
-        return v
-
-    def _eval_binary(self, expr: Binary, active: str) -> int:
-        left, right = expr.left, expr.right
-        a = self._eval[type(left)](left, active)
-        b = self._eval[type(right)](right, active)
-        try:
-            v = _BINARY[expr.op](a, b)
-        except ZeroDivisionError:
-            raise ExecFailure(DIVISION_BY_ZERO, expr.line, expr.col) from None
-        if v < I64_MIN or v > I64_MAX:
-            raise ExecFailure(ARITH_OVERFLOW, expr.line, expr.col)
-        return v
-
-    # -- statements --
-
-    def _exec_seq(self, stmt: Seq):
-        self._tick(stmt)
-        handlers = self._exec
-        for sub in stmt.stmts:
-            handlers[type(sub)](sub)
-
-    def _exec_assign_global(self, stmt: AssignGlobal):
-        self._tick(stmt)
-        active = self.stack[-1]
-        expr = stmt.expr
-        v = self.store.global_value = self._eval[type(expr)](expr, active)
-        if self._tracing:
-            self._emit("assign-global", active, v)
-
-    def _exec_assign_local(self, stmt: AssignLocal):
-        self._tick(stmt)
-        active = self.stack[-1]
-        expr = stmt.expr
-        self.store.locals[active] = self._eval[type(expr)](expr, active)
-
-    def _exec_provided(self, stmt: Provided):
-        self._tick(stmt)
-        expr = stmt.expr
-        if self._eval[type(expr)](expr, self.stack[-1]) == 0:
-            raise ExecFailure(PROVIDED_FAILED, stmt.line, stmt.col)
-
-    def _exec_if(self, stmt: If):
-        self._tick(stmt)
-        cond = stmt.cond
-        taken = stmt.then if self._eval[type(cond)](cond, self.stack[-1]) != 0 else stmt.orelse
-        self._exec[type(taken)](taken)
-
-    def _exec_while(self, stmt: While):
-        self._tick(stmt)
-        active = self.stack[-1]
-        cond, body = stmt.cond, stmt.body
-        test, run_body = self._eval[type(cond)], self._exec[type(body)]
-        while test(cond, active) != 0:
-            run_body(body)
-            self._tick(stmt)
-
-    def _exec_run(self, stmt: Run):
-        self._tick(stmt)
-        arg, method = stmt.arg, stmt.method
-        v = self._eval[type(arg)](arg, self.stack[-1])
-        if method not in self.methods:
-            raise ValueError(f"method {method!r} is not declared")
-        self.store.locals[method] = v
-        if self._tracing:
-            self._emit("run-call", method, v)
-        # ``_activate`` inlined, so a run chain costs no extra frame per level.
-        self.stack.append(method)
+    def _body(self, method: str) -> Callable[[], None]:
+        """Compile ``method``'s body on its first activation; keep it by name."""
         body = self.methods[method].body
-        try:
-            self._exec[type(body)](body)
-        except _Returned:
-            pass
-        self.stack.pop()
-        if self._tracing:
-            self._emit("return", method)
+        code = self._bodies[method] = _STMT[type(body)](self, body, method)
+        return code
 
-    def _exec_return(self, stmt: Return):
-        self._tick(stmt)
-        raise _Returned
+    # -- expressions: each compiles to a closure returning the value --
 
-    def _exec_synch(self, stmt: Synch):
-        self._tick(stmt)
-        arg, method = stmt.arg, stmt.method
-        if method not in self.methods:
-            raise ValueError(f"method {method!r} is not declared")
-        v = self._eval[type(arg)](arg, self.stack[-1])
-        self._post_seq += 1
-        node = AsynchNode(method, arg, v, stmt.priority, self._post_seq)
-        self.postlist = self.postlist.add(node)
-        if self._tracing:
-            self._emit("post", method, v, stmt.priority)
+    def _compile_int(self, expr: IntLit, method: str):
+        value = expr.value
+        return lambda: value
+
+    def _compile_var(self, expr: Var, method: str):
+        name, store = expr.name, self.store
+        if name == self.program.global_name:
+            return lambda: store.global_value
+        if name == self._local_of.get(method):
+            cells = store.locals
+            return lambda: cells[method]
+
+        def out_of_scope():
+            raise ValueError(f"variable {name!r} is not in scope of {method!r}")
+        return out_of_scope
+
+    def _compile_unary(self, expr: Unary, method: str):
+        operand = _EXPR[type(expr.operand)](self, expr.operand, method)
+        if expr.op != "-":
+            return lambda: 0 if operand() != 0 else 1
+        line, col = expr.line, expr.col
+
+        def negate():
+            v = -operand()
+            if v < I64_MIN or v > I64_MAX:
+                raise ExecFailure(ARITH_OVERFLOW, line, col)
+            return v
+        return negate
+
+    def _compile_binary(self, expr: Binary, method: str):
+        left = _EXPR[type(expr.left)](self, expr.left, method)
+        right = _EXPR[type(expr.right)](self, expr.right, method)
+        op, line, col = _BINARY[expr.op], expr.line, expr.col
+
+        def binary():
+            a = left()
+            b = right()
+            try:
+                v = op(a, b)
+            except ZeroDivisionError:
+                raise ExecFailure(DIVISION_BY_ZERO, line, col) from None
+            if v < I64_MIN or v > I64_MAX:
+                raise ExecFailure(ARITH_OVERFLOW, line, col)
+            return v
+        return binary
+
+    # -- statements: each compiles to a closure that takes its step --
+
+    def _compile_seq(self, stmt: Seq, method: str):
+        subs = [_STMT[type(sub)](self, sub, method) for sub in stmt.stmts]
+        budget, line, col = self.budget, stmt.line, stmt.col
+
+        def seq():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            for sub in subs:
+                sub()
+        return seq
+
+    def _compile_assign_global(self, stmt: AssignGlobal, method: str):
+        expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        store, tracing, emit = self.store, self._tracing, self._emit
+
+        def assign_global():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            v = store.global_value = expr()
+            if tracing:
+                emit("assign-global", method, v)
+        return assign_global
+
+    def _compile_assign_local(self, stmt: AssignLocal, method: str):
+        expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        cells = self.store.locals
+
+        def assign_local():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            cells[method] = expr()
+        return assign_local
+
+    def _compile_provided(self, stmt: Provided, method: str):
+        expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+
+        def provided():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            if expr() == 0:
+                raise ExecFailure(PROVIDED_FAILED, line, col)
+        return provided
+
+    def _compile_if(self, stmt: If, method: str):
+        cond = _EXPR[type(stmt.cond)](self, stmt.cond, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        then = orelse = None
+
+        def if_():
+            nonlocal then, orelse
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            if cond() != 0:
+                if then is None:
+                    then = _STMT[type(stmt.then)](self, stmt.then, method)
+                then()
+            else:
+                if orelse is None:
+                    orelse = _STMT[type(stmt.orelse)](self, stmt.orelse, method)
+                orelse()
+        return if_
+
+    def _compile_while(self, stmt: While, method: str):
+        cond = _EXPR[type(stmt.cond)](self, stmt.cond, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        body = None
+
+        def while_():
+            nonlocal body
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            while cond() != 0:
+                if body is None:
+                    body = _STMT[type(stmt.body)](self, stmt.body, method)
+                body()
+                if self.step_count >= budget:
+                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+                self.step_count += 1
+        return while_
+
+    def _compile_run(self, stmt: Run, method: str):
+        arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        callee, declared = stmt.method, stmt.method in self.methods
+        cells, stack, bodies = self.store.locals, self.stack, self._bodies
+        tracing, emit = self._tracing, self._emit
+
+        def run():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            v = arg()
+            if not declared:
+                raise ValueError(f"method {callee!r} is not declared")
+            cells[callee] = v
+            if tracing:
+                emit("run-call", callee, v)
+            # ``_activate`` inlined, so a run chain costs no extra frame per level.
+            body = bodies.get(callee) or self._body(callee)
+            stack.append(callee)
+            try:
+                body()
+            except _Returned:
+                pass
+            stack.pop()
+            if tracing:
+                emit("return", callee)
+        return run
+
+    def _compile_return(self, stmt: Return, method: str):
+        budget, line, col = self.budget, stmt.line, stmt.col
+
+        def return_():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            raise _Returned
+        return return_
+
+    def _compile_synch(self, stmt: Synch, method: str):
+        arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
+        budget, line, col = self.budget, stmt.line, stmt.col
+        callee, declared = stmt.method, stmt.method in self.methods
+        arg_expr, priority = stmt.arg, stmt.priority
+        tracing, emit = self._tracing, self._emit
+
+        def synch():
+            if self.step_count >= budget:
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+            self.step_count += 1
+            if not declared:
+                raise ValueError(f"method {callee!r} is not declared")
+            v = arg()
+            self._post_seq += 1
+            node = AsynchNode(callee, arg_expr, v, priority, self._post_seq)
+            self.postlist = self.postlist.add(node)
+            if tracing:
+                emit("post", callee, v, priority)
+        return synch
 
     # -- activations and whole runs --
 
-    def _activate(self, method: str, body: Seq):
+    def _activate(self, method: str):
         """Push a frame, run the body, pop the frame and emit ``return``."""
+        body = self._bodies.get(method) or self._body(method)
         self.stack.append(method)
         try:
-            self._exec[type(body)](body)
+            body()
         except _Returned:
             pass
         self.stack.pop()
@@ -348,7 +438,7 @@ class Interpreter:
                 self._tick(method)
                 if self._tracing:
                     self._emit("method-start", method.name)
-                self._activate(method.name, method.body)
+                self._activate(method.name)
                 if self._tracing:
                     self._emit("method-end", method.name)
             # Drain: highest priority first, FIFO within a priority.
@@ -358,7 +448,7 @@ class Interpreter:
                 self.store.locals[node.method] = node.arg_value
                 if self._tracing:
                     self._emit("dispatch", node.method, node.arg_value, node.priority)
-                self._activate(node.method, self.methods[node.method].body)
+                self._activate(node.method)
         except ExecFailure as failure:
             if self._tracing:
                 active = self.stack[-1] if self.stack else None
@@ -366,6 +456,20 @@ class Interpreter:
                 self._emit(kind, active)
             return Failed(failure.kind, failure.line, failure.col, self.trace)
         return Finished(self.store.global_value, self.trace)
+
+
+# The compile function for each node type, called as ``f(interp, node, method)``.
+_EXPR = {
+    IntLit: Interpreter._compile_int, Var: Interpreter._compile_var,
+    Unary: Interpreter._compile_unary, Binary: Interpreter._compile_binary,
+}
+_STMT = {
+    Seq: Interpreter._compile_seq, AssignGlobal: Interpreter._compile_assign_global,
+    AssignLocal: Interpreter._compile_assign_local, Provided: Interpreter._compile_provided,
+    If: Interpreter._compile_if, While: Interpreter._compile_while,
+    Run: Interpreter._compile_run, Return: Interpreter._compile_return,
+    Synch: Interpreter._compile_synch,
+}
 
 
 def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:

@@ -2,13 +2,15 @@
 dispatch order, snapshots, stack discipline, failures, and the trace format.
 
 Programs are written as source text and parsed, so these tests exercise the
-whole front end; only the foreign-node tests build their trees by hand.
+whole front end; only the foreign-node and shared-node tests build their
+trees by hand.
 Outcomes and traces are checked against hand-computed values.
 """
 
 import json
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from priopost import (
     Expr,
     Failed,
     Finished,
+    If,
     IntLit,
     Interpreter,
     MarkerList,
@@ -27,8 +30,12 @@ from priopost import (
     OracleQueue,
     Priority,
     Program,
+    Run,
     Seq,
     Stmt,
+    TraceEvent,
+    Var,
+    While,
     parse_program,
     pretty_print,
     run_program,
@@ -42,6 +49,8 @@ from priopost.interp import (
 )
 from priopost.syntax import I64_MAX, I64_MIN
 from progen import gen_programs
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def run_src(src: str, budget: int = 1_000_000):
@@ -429,7 +438,8 @@ def test_every_activation_closes_with_one_return():
 
 
 def test_post_event_carries_priority_and_snapshot():
-    out = run_src("global g; meth m(x) { g := 3; synch(m(g * 2), medium); }")
+    # The program reposts forever; the first post needs only a few steps.
+    out = run_src("global g; meth m(x) { g := 3; synch(m(g * 2), medium); }", budget=10)
     post = [e for e in out.trace if e.kind == "post"][0]
     assert post.method == "m"
     assert post.value == 6
@@ -509,6 +519,53 @@ def test_foreign_node_raises_instead_of_an_outcome(stmt):
     program = Program("g", [Method("m", "x", Seq([stmt]))])
     with pytest.raises(KeyError):
         Interpreter(program).run()
+
+
+@pytest.mark.parametrize("stmt", [
+    If(IntLit(0), Seq([ForeignStmt()]), Seq([])),
+    If(IntLit(1), Seq([]), Seq([ForeignStmt()])),
+    While(IntLit(0), Seq([ForeignStmt()])),
+], ids=["then", "else", "while"])
+def test_code_that_never_runs_is_never_compiled(stmt):
+    program = Program("g", [Method("m", "x", Seq([stmt]))])
+    assert Interpreter(program).run() == Finished(0, [
+        TraceEvent(1, "method-start", "m"), TraceEvent(2, "return", "m"),
+        TraceEvent(3, "method-end", "m")])
+
+
+@pytest.mark.parametrize("src", [
+    "global g; meth m(x) { provided 0; g := y; }",
+    "global g; meth m(x) { provided 0; synch(nope(1), low); }",
+    "global g; meth m(x) { provided 0; run nope(y); }",
+], ids=["variable", "synch", "run"])
+def test_scope_faults_raise_only_when_executed(src):
+    # The fault before them ends the run first, as in a walker.
+    out = run_src(src)
+    assert isinstance(out, Failed) and out.kind == PROVIDED_FAILED
+    with pytest.raises(ValueError):
+        run_src(src.replace("provided 0; ", ""))
+
+
+def test_methods_sharing_one_body_read_their_own_locals():
+    body = Seq([AssignGlobal("g", Binary("+", Binary("*", Var("g"), IntLit(10)), Var("x")))])
+    main = Seq([Run("a", IntLit(1)), Run("b", IntLit(2))])
+    program = Program("g", [Method("a", "x", body), Method("b", "x", body),
+                            Method("main", "x", main)])
+    out = Interpreter(program).run()
+    assert isinstance(out, Finished)
+    assert out.global_value == 12
+
+
+def test_program_object_reruns_like_fresh_parses():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
+    texts += [pretty_print(p) for p in gen_programs(seed=1357, count=50)]
+    for text in texts:
+        program = parse_program(text)
+        for trace in (True, False):
+            again = Interpreter(program, budget=10_000, trace=trace).run()
+            fresh = Interpreter(parse_program(text), budget=10_000, trace=trace).run()
+            assert again == fresh, text
+        assert program == parse_program(text)
 
 
 def run_observed(program, budget: int, trace: bool):
