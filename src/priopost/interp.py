@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -40,6 +42,7 @@ from .postlist import AsynchList, AsynchNode
 from .syntax import (
     I64_MAX,
     I64_MIN,
+    MAX_DEPTH,
     AssignGlobal,
     AssignLocal,
     Binary,
@@ -63,6 +66,13 @@ PROVIDED_FAILED = "provided-failed"
 DIVISION_BY_ZERO = "division-by-zero"
 ARITH_OVERFLOW = "arith-overflow"
 STEP_BUDGET_EXHAUSTED = "step-budget-exhausted"
+CALL_DEPTH_EXCEEDED = "call-depth-exceeded"
+
+MAX_CALL_DEPTH = 1_000
+"""Most activations open at once; a ``run`` past it faults ``call-depth-exceeded``.
+A chain with each level nested to ``MAX_DEPTH`` peaks near 45 MB RSS (300 MB at 10,000)."""
+
+_RUN_LOCK = threading.RLock()
 
 
 class ExecFailure(Exception):
@@ -199,7 +209,6 @@ class Interpreter:
         self.trace: list[TraceEvent] = []
         self._tracing = trace
         self._post_seq = 0
-        self._local_of = {m.name: m.local for m in program.methods}
         self._bodies: dict[str, Callable[[], None]] = {}
 
     # -- bookkeeping --
@@ -228,7 +237,7 @@ class Interpreter:
         name, store = expr.name, self.store
         if name == self.program.global_name:
             return lambda: store.global_value
-        if name == self._local_of.get(method):
+        if name == self.methods[method].local:
             cells = store.locals
             return lambda: cells[method]
 
@@ -371,6 +380,8 @@ class Interpreter:
             v = arg()
             if not declared:
                 raise ValueError(f"method {callee!r} is not declared")
+            if len(stack) >= MAX_CALL_DEPTH:  # only here: _activate opens on an empty stack
+                raise ExecFailure(CALL_DEPTH_EXCEEDED, line, col)
             cells[callee] = v
             if tracing:
                 emit("run-call", callee, v)
@@ -433,29 +444,38 @@ class Interpreter:
 
     def run(self) -> Outcome:
         """Startup phase, then drain; the program must be scope-valid."""
-        try:
-            for method in self.program.methods:
-                self._tick(method)
+        # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
+        # however deep the caller's stack is: MAX_DEPTH frames per activation,
+        # and two activations' worth to compile a body and evaluate its deepest
+        # expression.  The limit is process-wide, so runs in threads take turns.
+        with _RUN_LOCK:
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 2) * MAX_DEPTH)
+            try:
+                for method in self.program.methods:
+                    self._tick(method)
+                    if self._tracing:
+                        self._emit("method-start", method.name)
+                    self._activate(method.name)
+                    if self._tracing:
+                        self._emit("method-end", method.name)
+                # Drain: highest priority first, FIFO within a priority.
+                while not self.postlist.is_empty():
+                    node, self.postlist = self.postlist.remove_first()
+                    self._tick(node.arg_expr)
+                    self.store.locals[node.method] = node.arg_value
+                    if self._tracing:
+                        self._emit("dispatch", node.method, node.arg_value, node.priority)
+                    self._activate(node.method)
+                return Finished(self.store.global_value, self.trace)
+            except ExecFailure as failure:
                 if self._tracing:
-                    self._emit("method-start", method.name)
-                self._activate(method.name)
-                if self._tracing:
-                    self._emit("method-end", method.name)
-            # Drain: highest priority first, FIFO within a priority.
-            while not self.postlist.is_empty():
-                node, self.postlist = self.postlist.remove_first()
-                self._tick(node.arg_expr)
-                self.store.locals[node.method] = node.arg_value
-                if self._tracing:
-                    self._emit("dispatch", node.method, node.arg_value, node.priority)
-                self._activate(node.method)
-        except ExecFailure as failure:
-            if self._tracing:
-                active = self.stack[-1] if self.stack else None
-                kind = "provided-fail" if failure.kind == PROVIDED_FAILED else "error"
-                self._emit(kind, active)
-            return Failed(failure.kind, failure.line, failure.col, self.trace)
-        return Finished(self.store.global_value, self.trace)
+                    active = self.stack[-1] if self.stack else None
+                    kind = "provided-fail" if failure.kind == PROVIDED_FAILED else "error"
+                    self._emit(kind, active)
+                return Failed(failure.kind, failure.line, failure.col, self.trace)
+            finally:
+                sys.setrecursionlimit(limit)
 
 
 # The compile function for each node type, called as ``f(interp, node, method)``.

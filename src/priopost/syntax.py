@@ -35,13 +35,19 @@ then atoms (integer literals, the two in-scope variables, and
 parenthesised expressions).  All values are signed 64-bit integers;
 comparisons and logical operators yield 1 or 0.  Nesting deeper than
 ``MAX_DEPTH`` levels is a parse error.
+
+The lexer turns the whole text into token texts and start offsets in a
+few C-level passes; the parser reads those arrays.  Every node records
+the ``line:col`` of its start token (a binary node's is its operator).
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 I64_MIN = -(2**63)
@@ -210,21 +216,49 @@ class Token(NamedTuple):
     col: int
 
 
-# One match per token, newline, end of file or bad character, with the
-# blanks before it folded in.  A comment runs to a newline or to the end
-# of the file, so it is folded in front of those two.  The number of the
-# group that matched gives the kind.
-_LEXEME = re.compile(r"""
-    [ \t\r]*
-    (?: ([A-Za-z_][A-Za-z0-9_]*)            # 1 identifier or keyword
-      | ([0-9]+)                            # 2 integer
-      | (:=|==|!=|<=|>=|[-+*%<>!(){};,])    # 3 operator other than /
-      | (?://[^\n]*)?(\n)                   # 4 newline
-      | ()(?://[^\n]*)?\Z                   # 5 end of file
-      | (/)                                 # 6 / that starts no comment
-      | (.)                                 # 7 bad character
-    )""", re.S | re.X)
-_WORD, _INT, _OP, _NEWLINE, _EOF, _SLASH = range(1, 7)
+# Blanks, newlines and ``//`` comments; possessive, so a comment is never
+# given back in part and read as tokens.
+_SKIP = r"(?:[ \t\r\n]++|//[^\n]*+)*+"
+# Each match is the text skipped before a token, then the token, or an
+# empty token at the end of the file.  ``split`` returns gap, skipped,
+# token, gap, ..., gap; a gap is empty unless it holds a bad character.
+_SPLIT = re.compile(
+    f"({_SKIP})([A-Za-z_][A-Za-z0-9_]*+|[0-9]++|[:=!<>]=|[-+*/%<>!(){{}};,]|\\Z)")
+
+
+def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def _lex(source: str) -> tuple[list[str], list[int], list[int]]:
+    """Token texts ending in ``""`` (the end), their offsets, and the line starts.
+
+    The whole text is lexed before any token is parsed, so the first bad
+    character or out-of-range literal is reported before any parse error.
+    """
+    pieces = _SPLIT.split(source)
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    texts, starts = pieces[2::3], offsets[2::3]
+    line_starts = list(accumulate(map((1).__add__, map(len, source.split("\n"))), initial=0))
+    bad = None
+    if any(gaps := pieces[::3]):
+        first = next(i for i, gap in enumerate(gaps) if gap)
+        bad = re.compile(_SKIP).match(source, offsets[3 * first]).end()
+        # Matches after a bad character may start inside a comment.
+        del texts[first:], starts[first:]
+    if max(map(len, texts), default=0) >= 19:
+        for text, start in zip(texts, starts):
+            # int() refuses more than 4,300 digits, so count them first.
+            if text[:1].isdigit() and (len(d := text.lstrip("0")) > 19 or int(d or 0) > I64_MAX):
+                raise ParseError("integer literal out of range", *_line_col(line_starts, start))
+    if bad is not None:
+        raise ParseError(f"unexpected character {source[bad]!r}", *_line_col(line_starts, bad))
+    end = texts.index("") + 1  # the end of the file may match twice
+    del texts[end:], starts[end:]
+    if (comment := source.find("//", line_starts[-2])) >= 0:  # a comment ends the file
+        starts[-1] = comment
+    return texts, starts, line_starts
 
 
 def tokenize(source: str) -> list[Token]:
@@ -232,35 +266,17 @@ def tokenize(source: str) -> list[Token]:
 
     Identifiers and digits are ASCII only, per the grammar.  Blanks,
     tabs and carriage returns each take one column.  The final ``eof``
-    token sits where a ``//`` comment that ends the file starts.
+    token sits where a ``//`` comment that ends the file starts.  The
+    parser reads the same lexer's arrays and builds no ``Token``.
     """
-    tokens = []
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    for m in _LEXEME.finditer(source):
-        group = m.lastindex
-        start = m.start(group)
-        col = start - line_start + 1
-        if group == _WORD:
-            text = m[group]
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, line, col))
-        elif group == _OP or group == _SLASH:
-            tokens.append(Token("punct", m[group], line, col))
-        elif group == _NEWLINE:
-            line += 1
-            line_start = start + 1
-        elif group == _INT:
-            text = m[group]
-            digits = text.lstrip("0")
-            # int() refuses more than 4,300 digits, so count them first.
-            if len(digits) > 19 or int(digits or "0") > I64_MAX:
-                raise ParseError("integer literal out of range", line, col)
-            tokens.append(Token("int", text, line, col))
-        elif group == _EOF:
-            tokens.append(Token("eof", "", line, col))
-            return tokens
-        else:
-            raise ParseError(f"unexpected character {m[group]!r}", line, col)
+    texts, starts, line_starts = _lex(source)
+    return [Token("eof" if not text else "int" if text[0].isdigit() else "keyword"
+                  if text in KEYWORDS else "ident" if text.isidentifier() else "punct",
+                  text, *_line_col(line_starts, start)) for text, start in zip(texts, starts)]
+
+
+def _is_ident(text: str) -> bool:
+    return text.isidentifier() and text not in KEYWORDS
 
 
 # --- Parser ------------------------------------------------------------
@@ -287,144 +303,139 @@ counts one level per operator.  Deeper input is a ``ParseError``
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over ``_lex``'s arrays, by token index.  It asks
+    whether a text is an identifier or a literal only where the grammar
+    does, and bisects the line starts with a token's offset only for a
+    node built at the token or an error raised there."""
+
+    def __init__(self, source: str):
+        self.texts, self.offsets, self.line_starts = _lex(source)
+        self.pos = 0  # index of the next token; never moves past the end
         self.global_name = ""
         self.depth = 0  # levels open above the node being parsed
 
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
+    def _node(self, cls, start: int, *fields):
+        """``cls(*fields)`` at the position of token ``start``."""
+        line, col = _line_col(self.line_starts, self.offsets[start])
+        return cls(*fields, line=line, col=col)
 
-    def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def _error(self, message, expected=(), index=None):
+        offset = self.offsets[self.pos if index is None else index]
+        raise ParseError(message, *_line_col(self.line_starts, offset), expected)
 
-    def _error(self, message, expected=()):
-        tok = self._peek()
-        raise ParseError(message, tok.line, tok.col, expected)
-
-    def _fit(self, tok: Token, height: int = 1):
-        """Raise at ``tok`` unless ``height`` more levels stay within MAX_DEPTH."""
+    def _fit(self, index: int, height: int = 1):
+        """Raise at token ``index`` unless ``height`` more levels stay within MAX_DEPTH."""
         if self.depth + height > MAX_DEPTH:
-            raise ParseError("nesting too deep", tok.line, tok.col)
+            self._error("nesting too deep", index=index)
 
-    def _enter(self, tok: Token):
-        """Open one level at ``tok``; the caller closes it with ``depth -= 1``."""
-        self._fit(tok)
+    def _enter(self, index: int):
+        """Open one level at token ``index``; the caller closes it with ``depth -= 1``."""
+        self._fit(index)
         self.depth += 1
 
-    def _expect(self, text: str) -> Token:
-        tok = self._peek()
-        if tok.text != text or tok.kind == "eof":
-            found = tok.text if tok.kind != "eof" else "end of file"
+    def _expect(self, text: str):
+        pos = self.pos
+        if self.texts[pos] != text:
+            found = self.texts[pos] or "end of file"
             self._error(f"expected '{text}', found '{found}'", expected=(text,))
-        return self._advance()
+        self.pos = pos + 1
 
-    def _expect_ident(self, what="identifier") -> Token:
-        tok = self._peek()
-        if tok.kind != "ident":
+    def _expect_ident(self, what: str) -> str:
+        text = self.texts[self.pos]
+        if not _is_ident(text):
             self._error(f"expected {what}", expected=("identifier",))
-        return self._advance()
+        self.pos += 1
+        return text
 
     def parse_program(self) -> Program:
-        start = self._expect("global")
-        self.global_name = self._expect_ident("global variable name").text
+        self._expect("global")
+        self.global_name = self._expect_ident("global variable name")
         self._expect(";")
         methods = [self._method()]
-        while self._peek().text == "meth":
+        while self.texts[self.pos] == "meth":
             methods.append(self._method())
-        if self._peek().kind != "eof":
+        if self.texts[self.pos]:
             self._error("expected 'meth'", expected=("meth",))
-        return Program(self.global_name, methods, line=start.line, col=start.col)
+        return self._node(Program, 0, self.global_name, methods)
 
     def _method(self) -> Method:
-        start = self._peek()
-        if start.text != "meth":
+        start = self.pos
+        if self.texts[start] != "meth":
             self._error("expected 'meth'", expected=("meth",))
-        self._advance()
-        name = self._expect_ident("method name").text
+        self.pos += 1
+        name = self._expect_ident("method name")
         self._expect("(")
-        local = self._expect_ident("local variable name").text
+        local = self._expect_ident("local variable name")
         self._expect(")")
-        body = self._block()
-        return Method(name, local, body, line=start.line, col=start.col)
+        return self._node(Method, start, name, local, self._block())
 
     def _block(self) -> Seq:
-        start = self._expect("{")
+        start = self.pos
+        self._expect("{")
         self._enter(start)
         stmts = []
-        while self._peek().text != "}":
-            if self._peek().kind == "eof":
+        while (text := self.texts[self.pos]) != "}":
+            if not text:
                 self._error("expected '}'", expected=("}",))
-            self._enter(self._peek())
+            self._enter(self.pos)
             stmts.append(self._stmt())
             self.depth -= 1
         self.depth -= 1
-        self._expect("}")
-        return Seq(stmts, line=start.line, col=start.col)
+        self.pos += 1
+        return self._node(Seq, start, stmts)
 
     def _stmt(self) -> Stmt:
-        tok = self._peek()
-        if tok.kind == "ident":
-            name = self._advance()
+        start = self.pos
+        text = self.texts[start]
+        self.pos = start + 1
+        if _is_ident(text):
             self._expect(":=")
             e, _ = self._expr()
             self._expect(";")
-            cls = AssignGlobal if name.text == self.global_name else AssignLocal
-            return cls(name.text, e, line=name.line, col=name.col)
-        if tok.text == "provided":
-            self._advance()
+            cls = AssignGlobal if text == self.global_name else AssignLocal
+            return self._node(cls, start, text, e)
+        if text == "provided":
             e, _ = self._expr()
             self._expect(";")
-            return Provided(e, line=tok.line, col=tok.col)
-        if tok.text == "if":
-            self._advance()
+            return self._node(Provided, start, e)
+        if text == "if":
             cond, _ = self._expr()
             then = self._block()
             self._expect("else")
-            orelse = self._block()
-            return If(cond, then, orelse, line=tok.line, col=tok.col)
-        if tok.text == "while":
-            self._advance()
+            return self._node(If, start, cond, then, self._block())
+        if text == "while":
             cond, _ = self._expr()
-            body = self._block()
-            return While(cond, body, line=tok.line, col=tok.col)
-        if tok.text == "run":
-            self._advance()
-            method = self._expect_ident("method name").text
+            return self._node(While, start, cond, self._block())
+        if text == "run":
+            method = self._expect_ident("method name")
             self._expect("(")
             arg, _ = self._expr()
             self._expect(")")
             self._expect(";")
-            return Run(method, arg, line=tok.line, col=tok.col)
-        if tok.text == "return":
-            self._advance()
+            return self._node(Run, start, method, arg)
+        if text == "return":
             self._expect("(")
             self._expect(")")
             self._expect(";")
-            return Return(line=tok.line, col=tok.col)
-        if tok.text == "synch":
-            self._advance()
+            return self._node(Return, start)
+        if text == "synch":
             self._expect("(")
-            method = self._expect_ident("method name").text
+            method = self._expect_ident("method name")
             self._expect("(")
             arg, _ = self._expr()
             self._expect(")")
             self._expect(",")
-            prio_tok = self._peek()
-            if prio_tok.text not in ("high", "medium", "low"):
+            prio = self.texts[self.pos]
+            if prio not in ("high", "medium", "low"):
                 self._error("expected priority", expected=("high", "medium", "low"))
-            self._advance()
+            self.pos += 1
             self._expect(")")
             self._expect(";")
-            return Synch(method, arg, Priority.from_keyword(prio_tok.text),
-                         line=tok.line, col=tok.col)
+            return self._node(Synch, start, method, arg, Priority.from_keyword(prio))
         self._error(
             "expected statement",
             expected=("identifier", "provided", "if", "while", "run", "return", "synch", "}"),
+            index=start,
         )
 
     def _expr(self, min_prec: int = 1) -> tuple[Expr, int]:
@@ -434,44 +445,46 @@ class _Parser:
         recursing; only a right operand recurses, one precedence up.
         """
         left, height = self._operand()
-        while (prec := _PREC.get(self._peek().text, 0)) >= min_prec:
-            op = self._advance()
+        texts = self.texts
+        while (prec := _PREC.get(texts[self.pos], 0)) >= min_prec:
+            op = self.pos
+            self.pos = op + 1
             self._enter(op)
             right, right_height = self._expr(prec + 1)
             self.depth -= 1
             # The new node lifts the whole chain so far one level deeper.
             height = max(height, right_height) + 1
             self._fit(op, height)
-            left = Binary(op.text, left, right, line=op.line, col=op.col)
+            left = self._node(Binary, op, texts[op], left, right)
         return left, height
 
     def _operand(self) -> tuple[Expr, int]:
         """A literal, variable, unary operation or parenthesised group."""
-        tok = self._peek()
-        if tok.kind == "int" or tok.kind == "ident":
-            self._fit(tok)
-            self._advance()
-            if tok.kind == "int":
-                value = int(tok.text.lstrip("0") or "0")
-                return IntLit(value, line=tok.line, col=tok.col), 1
-            return Var(tok.text, line=tok.line, col=tok.col), 1
-        if tok.text not in ("-", "!", "("):
+        start = self.pos
+        text = self.texts[start]
+        if text.isdigit() or _is_ident(text):
+            self._fit(start)
+            self.pos = start + 1
+            if text.isdigit():
+                return self._node(IntLit, start, int(text.lstrip("0") or "0")), 1
+            return self._node(Var, start, text), 1
+        if text not in ("-", "!", "("):
             self._error("expected expression", expected=("integer", "identifier", "("))
-        self._advance()
-        self._enter(tok)
-        if tok.text == "(":
+        self.pos = start + 1
+        self._enter(start)
+        if text == "(":
             e, height = self._expr()
             self._expect(")")
         else:
             operand, height = self._operand()
-            e = Unary(tok.text, operand, line=tok.line, col=tok.col)
+            e = self._node(Unary, start, text, operand)
         self.depth -= 1
         return e, height + 1
 
 
 def parse_program(source: str) -> Program:
     """Parse program text; raises ParseError (and nothing else) on bad input."""
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(source).parse_program()
 
 
 # --- Scope validation ----------------------------------------------------
@@ -619,41 +632,33 @@ def pretty_print(program: Program) -> str:
 # --- JSON form (used by the CLI's --emit-ast) ----------------------------
 
 def ast_to_dict(node) -> dict:
-    """Position-free dict rendering of an AST, stable for serialization."""
-    match node:
-        case Program(global_name, methods):
-            return {"kind": "program", "global": global_name,
-                    "methods": [ast_to_dict(m) for m in methods]}
-        case Method(name, local, body):
-            return {"kind": "method", "name": name, "local": local,
-                    "body": ast_to_dict(body)}
-        case Seq(stmts):
-            return {"kind": "seq", "stmts": [ast_to_dict(s) for s in stmts]}
-        case AssignGlobal(name, expr):
-            return {"kind": "assign-global", "name": name, "expr": ast_to_dict(expr)}
-        case AssignLocal(name, expr):
-            return {"kind": "assign-local", "name": name, "expr": ast_to_dict(expr)}
-        case Provided(expr):
-            return {"kind": "provided", "expr": ast_to_dict(expr)}
-        case If(cond, then, orelse):
-            return {"kind": "if", "cond": ast_to_dict(cond),
-                    "then": ast_to_dict(then), "else": ast_to_dict(orelse)}
-        case While(cond, body):
-            return {"kind": "while", "cond": ast_to_dict(cond), "body": ast_to_dict(body)}
-        case Run(method, arg):
-            return {"kind": "run", "method": method, "arg": ast_to_dict(arg)}
-        case Return():
-            return {"kind": "return"}
-        case Synch(method, arg, priority):
-            return {"kind": "synch", "method": method, "arg": ast_to_dict(arg),
-                    "priority": priority.keyword}
-        case IntLit(value):
-            return {"kind": "int", "value": value}
-        case Var(name):
-            return {"kind": "var", "name": name}
-        case Unary(op, operand):
-            return {"kind": "unary", "op": op, "operand": ast_to_dict(operand)}
-        case Binary(op, left, right):
-            return {"kind": "binary", "op": op,
-                    "left": ast_to_dict(left), "right": ast_to_dict(right)}
-    raise TypeError(f"not an AST node: {node!r}")
+    """Position-free dict rendering of an AST, stable for serialization;
+    anything but an exact node type, a subclass included, is a ``TypeError``."""
+    to_dict = _TO_DICT.get(type(node))
+    if to_dict is None:
+        raise TypeError(f"not an AST node: {node!r}")
+    return to_dict(node)
+
+
+_TO_DICT = {
+    Program: lambda n: {"kind": "program", "global": n.global_name,
+                        "methods": [ast_to_dict(m) for m in n.methods]},
+    Method: lambda n: {"kind": "method", "name": n.name, "local": n.local,
+                       "body": ast_to_dict(n.body)},
+    Seq: lambda n: {"kind": "seq", "stmts": [ast_to_dict(s) for s in n.stmts]},
+    AssignGlobal: lambda n: {"kind": "assign-global", "name": n.name, "expr": ast_to_dict(n.expr)},
+    AssignLocal: lambda n: {"kind": "assign-local", "name": n.name, "expr": ast_to_dict(n.expr)},
+    Provided: lambda n: {"kind": "provided", "expr": ast_to_dict(n.expr)},
+    If: lambda n: {"kind": "if", "cond": ast_to_dict(n.cond),
+                   "then": ast_to_dict(n.then), "else": ast_to_dict(n.orelse)},
+    While: lambda n: {"kind": "while", "cond": ast_to_dict(n.cond), "body": ast_to_dict(n.body)},
+    Run: lambda n: {"kind": "run", "method": n.method, "arg": ast_to_dict(n.arg)},
+    Return: lambda n: {"kind": "return"},
+    Synch: lambda n: {"kind": "synch", "method": n.method, "arg": ast_to_dict(n.arg),
+                      "priority": n.priority.keyword},
+    IntLit: lambda n: {"kind": "int", "value": n.value},
+    Var: lambda n: {"kind": "var", "name": n.name},
+    Unary: lambda n: {"kind": "unary", "op": n.op, "operand": ast_to_dict(n.operand)},
+    Binary: lambda n: {"kind": "binary", "op": n.op,
+                       "left": ast_to_dict(n.left), "right": ast_to_dict(n.right)},
+}

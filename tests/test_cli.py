@@ -252,6 +252,15 @@ def test_run_chain_240_deep_finishes(tmp_path):
     assert (result.returncode, result.stdout) == (0, "242\n")
 
 
+def test_endless_run_is_a_fault_not_a_traceback(tmp_path):
+    src = tmp_path / "endless.ap"
+    src.write_text("global g;\nmeth f(x) { g := g + 1; run f(x); }\n")
+    result = cli_subprocess("run", src)
+    assert (result.returncode, result.stderr) == (1, "")
+    assert json.loads(result.stdout) == {"kind": "call-depth-exceeded",
+                                         "location": {"line": 2, "col": 25}}
+
+
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
     # A 1,500-method synch chain: an analysis that recurses along the
     # chain from a start picked in set order fails for some hash seeds.

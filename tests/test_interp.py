@@ -8,6 +8,8 @@ Outcomes and traces are checked against hand-computed values.
 """
 
 import json
+import sys
+import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +30,7 @@ from priopost import (
     MarkerList,
     Method,
     OracleQueue,
+    ParseError,
     Priority,
     Program,
     Run,
@@ -43,11 +46,13 @@ from priopost import (
 )
 from priopost.interp import (
     ARITH_OVERFLOW,
+    CALL_DEPTH_EXCEEDED,
     DIVISION_BY_ZERO,
+    MAX_CALL_DEPTH,
     PROVIDED_FAILED,
     STEP_BUDGET_EXHAUSTED,
 )
-from priopost.syntax import I64_MAX, I64_MIN
+from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -240,6 +245,103 @@ def test_recursion_clobbers_single_local_cell():
     }
     """
     assert final(src) == 7
+
+
+# ------------------------------------------------------------- call depth
+
+ENDLESS_RUN = "global g; meth f(x) { g := g + 1; run f(x); }"
+
+
+def run_chain(calls: int) -> str:
+    """``main`` runs ``f(calls)``, which runs down to ``f(1)``: calls + 1 open activations."""
+    return (f"global g; meth f(x) {{ g := g + 1; if x > 1 {{ run f(x - 1); }} else {{ }} }}"
+            f" meth main(x) {{ run f({calls}); }}")
+
+
+def nested_run(levels: int) -> str:
+    """A self-run under ``levels`` nested ``if``s: the most frames a level can hold."""
+    return ("global g; meth f(x) { " + "if 1 { " * levels + "g := g + 1; run f(x);"
+            + " } else { }" * levels + " }")
+
+
+def test_endless_run_faults_at_the_run():
+    interp = Interpreter(parse_program(ENDLESS_RUN))
+    out = interp.run()
+    assert isinstance(out, Failed)
+    assert (out.kind, out.line, out.col) == (CALL_DEPTH_EXCEEDED, 1, 35)
+    assert len(interp.stack) == MAX_CALL_DEPTH
+    assert interp.store.global_value == MAX_CALL_DEPTH
+    assert out.trace[-1] == TraceEvent(len(out.trace), "error", "f")
+    quiet = Interpreter(parse_program(ENDLESS_RUN), trace=False)
+    assert quiet.run() == Failed(CALL_DEPTH_EXCEEDED, 1, 35, [])
+    assert quiet.step_count == interp.step_count
+
+
+def test_call_depth_bound_is_exact():
+    # The startup run of f opens one activation and runs nothing more.
+    assert final(run_chain(MAX_CALL_DEPTH - 1)) == 1 + MAX_CALL_DEPTH - 1
+    out = run_src(run_chain(MAX_CALL_DEPTH))
+    assert isinstance(out, Failed) and out.kind == CALL_DEPTH_EXCEEDED
+    assert (out.line, out.col) == (1, 46)
+
+
+def test_call_depth_fault_does_not_depend_on_the_caller_stack():
+    # Every level nested as deep as the parser allows, run from a Python
+    # stack 20 frames short of the recursion limit.
+    levels = next(n for n in range(MAX_DEPTH, 0, -1)
+                  if not _too_deep(nested_run(n)))
+    program = parse_program(nested_run(levels))
+    limit = sys.getrecursionlimit()
+
+    def at_depth(frames):
+        return run_program(program) if frames == 0 else at_depth(frames - 1)
+
+    for frames in (0, _headroom() - 20):
+        out = at_depth(frames)
+        assert isinstance(out, Failed) and out.kind == CALL_DEPTH_EXCEEDED
+        assert sys.getrecursionlimit() == limit
+
+
+def test_runs_in_threads_share_the_recursion_limit():
+    # The limit is process-wide: no run may lower it under another
+    # thread's deep run, and it is back where it was when all have ended.
+    chain, endless = parse_program(run_chain(MAX_CALL_DEPTH - 1)), parse_program(ENDLESS_RUN)
+    limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+    kinds = []
+
+    def work(program, times):
+        for _ in range(times):
+            kinds.append(getattr(run_program(program), "kind", "finished"))
+
+    threads = [threading.Thread(target=work, args=(chain, 10)) for _ in range(2)]
+    threads.append(threading.Thread(target=work, args=(endless, 100)))
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(set(kinds)) == [CALL_DEPTH_EXCEEDED, "finished"] and len(kinds) == 120
+    assert sys.getrecursionlimit() == limit
+
+
+def _headroom() -> int:
+    """How many more Python calls fit under the recursion limit."""
+    try:
+        return 1 + _headroom()
+    except RecursionError:
+        return 0
+
+
+def _too_deep(source: str) -> bool:
+    try:
+        parse_program(source)
+    except ParseError:
+        return True
+    return False
 
 
 def test_synch_does_not_execute_immediately():

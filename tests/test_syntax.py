@@ -8,6 +8,8 @@ kind.
 
 import json
 import random
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from priopost import (
     AssignGlobal,
     AssignLocal,
     Binary,
+    Expr,
     If,
     IntLit,
     Method,
@@ -44,6 +47,7 @@ from progen import gen_programs
 
 
 MINIMAL = "global g; meth main(x) { g := 1; }"
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -123,6 +127,22 @@ def test_int_literal_out_of_range_rejected():
     with pytest.raises(ParseError) as info:
         parse_program(f"global g; meth m(x) {{ g := {I64_MAX + 1}; }}")
     assert "range" in str(info.value)
+
+
+# A lexical error anywhere in the text beats any parse error, even one
+# earlier in the text, so these fail on a parser that lexes lazily.
+@pytest.mark.parametrize("source, error", [
+    ("global g; meth m(x) { x := ; } @", "1:32 unexpected character '@'"),
+    ("global g; meth m(x) { x := ; } x := 99999999999999999999;",
+     "1:37 integer literal out of range"),
+    ("global g; meth m(x) { x := 1 = 2", "1:30 unexpected character '='"),
+    ("global g; meth m(x) { x := 1;\n// tail", "2:1 expected '}'"),
+], ids=["bad-character-after-parse-error", "literal-after-parse-error",
+        "lone-equals-mid-statement", "unterminated-block-before-comment"])
+def test_lexical_errors_come_before_parse_errors(source, error):
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert str(info.value) == error
 
 
 # ------------------------------------------------------------------ parser
@@ -299,6 +319,81 @@ def test_pretty_print_rejects_trees_the_grammar_cannot_express(stmt):
         pretty_print(program)
 
 
+# --------------------------------------------------------------- positions
+
+# The text of the token each node's position names.
+START_TEXT = {
+    Program: lambda n: "global", Method: lambda n: "meth", Seq: lambda n: "{",
+    AssignGlobal: lambda n: n.name, AssignLocal: lambda n: n.name,
+    Provided: lambda n: "provided", If: lambda n: "if", While: lambda n: "while",
+    Run: lambda n: "run", Return: lambda n: "return", Synch: lambda n: "synch",
+    IntLit: lambda n: str(n.value), Var: lambda n: n.name,
+    Unary: lambda n: n.op, Binary: lambda n: n.op,
+}
+
+
+def in_source_order(node):
+    """``node`` and every node below it, in the order of their start tokens."""
+    if isinstance(node, Binary):
+        yield from in_source_order(node.left)
+        yield node
+        yield from in_source_order(node.right)
+        return
+    yield node
+    children = {
+        Program: lambda n: n.methods, Method: lambda n: [n.body], Seq: lambda n: n.stmts,
+        If: lambda n: [n.cond, n.then, n.orelse], While: lambda n: [n.cond, n.body],
+        Run: lambda n: [n.arg], Synch: lambda n: [n.arg], Unary: lambda n: [n.operand],
+        AssignGlobal: lambda n: [n.expr], AssignLocal: lambda n: [n.expr],
+        Provided: lambda n: [n.expr],
+    }.get(type(node), lambda n: [])(node)
+    for child in children:
+        yield from in_source_order(child)
+
+
+def assert_positions_name_start_tokens(source):
+    tokens = tokenize(source)
+    index = {(t.line, t.col): i for i, t in enumerate(tokens)}
+    seen = []
+    for node in in_source_order(parse_program(source)):
+        i = index[(node.line, node.col)]
+        text = tokens[i].text
+        assert (text.lstrip("0") or "0" if tokens[i].kind == "int" else text) \
+            == START_TEXT[type(node)](node), (node, tokens[i])
+        seen.append(i)
+    # One token per node, in source order: each node names its own token.
+    assert seen == sorted(set(seen))
+
+
+def position_sources():
+    yield from (p.read_text() for p in sorted(PROGRAMS.glob("*.ap")))
+    rng = random.Random(8)
+    for prog in gen_programs(seed=31, count=200):
+        text = pretty_print(prog)
+        variant = rng.randrange(4)
+        if variant == 0:
+            text = text.replace("\n", "\r\n")
+        elif variant == 1:
+            text = text.replace("    ", "\t").replace(";", "; // note")
+        elif variant == 2:
+            text = "// head\n" + text + "// tail, no newline"
+        yield text
+
+
+def test_node_positions_are_their_start_tokens():
+    for source in position_sources():
+        assert_positions_name_start_tokens(source)
+
+
+@pytest.mark.parametrize("source", [
+    "global g;\r\nmeth m(x) {\r\n\tg := -(x + 007) * 2;\r\n}\r\n// end",
+    "global g; meth m(x) { if x < 1 { return(); } else { synch(m(x % 2), low); } }//",
+    "global\tg;meth m(x){while !x{run m(1 - 2 - 3);}provided x or g and 1;}",
+], ids=["crlf-tabs-comment-at-eof", "glued-comment-at-eof", "no-blanks"])
+def test_node_positions_in_awkward_layouts(source):
+    assert_positions_name_start_tokens(source)
+
+
 # ---------------------------------------------------------------- totality
 
 @settings(max_examples=300, deadline=None)
@@ -322,6 +417,55 @@ def test_parser_total_on_mangled_programs():
             parse_program("".join(chars))
         except ParseError:
             pass
+
+
+def front_end_fragments():
+    """Text pieces that have broken, or could break, a lexer or parser."""
+    edge_literals = [str(I64_MAX - 1), str(I64_MAX), str(I64_MAX + 1), "9" * 19, "9" * 20,
+                     "1" + "0" * 19, "0" * 4301 + "7", "0" * 4301 + str(I64_MAX + 1)]
+    nested = []
+    for depth in range(MAX_DEPTH - 4, MAX_DEPTH + 2):
+        nested += ["(" * depth + "1" + ")" * depth, "-" * depth + "x",
+                   "if 1 { " * (depth // 2) + "g := 1;" + " } else { }" * (depth // 2)]
+    return edge_literals, nested, [
+        "\u00e9", "\u65e5\u672c", "\x0b", "\f", ":", "=", ":=", "==", "//", "/", "\n", "\r\n",
+        "\t", " ", "{", "}", "(", ")", ";", ",", "x", "g", "if", "else", "run", "synch",
+        "low", "meth", "global", "+", "-", "!", "and", "\x00", "\ufeff",
+    ]
+
+
+def test_front_end_is_total_on_hostile_text():
+    # Every text ends in a Program or a ParseError; tokenize agrees on
+    # which texts are lexically bad.
+    rng = random.Random(20260)
+    literals, nested, others = front_end_fragments()
+    crossed = set()
+    for _ in range(2000):
+        pool = rng.choice((literals, nested, others, others))
+        middle = "".join(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        if rng.random() < 0.5:
+            source = "global g; meth m(x) { g := " + middle + "; }"
+        else:
+            source = middle
+        try:
+            parse_program(source)
+            crossed.add("accepted")
+        except ParseError as err:
+            assert err.line >= 1 and err.col >= 1
+            crossed.add(err.message)
+        try:
+            tokenize(source)
+        except ParseError as err:
+            assert err.message in ("integer literal out of range",) \
+                or err.message.startswith("unexpected character")
+    for source in nested:
+        try:
+            parse_program(in_method("g := " + source + ";") if "if" not in source
+                          else in_method(source))
+            crossed.add("accepted")
+        except ParseError as err:
+            crossed.add(err.message)
+    assert {"accepted", "nesting too deep", "integer literal out of range"} <= crossed
 
 
 # ----------------------------------------------------------- nesting bound
@@ -456,3 +600,24 @@ def test_ast_to_dict_is_json_ready():
     data = json.loads(blob)
     assert data["kind"] == "program"
     assert data["methods"][0]["name"] == "m"
+
+
+@dataclass
+class Foreign(Expr):
+    pass
+
+
+@dataclass
+class Subclassed(Binary):
+    pass
+
+
+@pytest.mark.parametrize("node", [
+    object(),
+    Foreign(),
+    Program("g", [Method("m", "x", Seq([AssignGlobal("g", Foreign())]))]),
+    Subclassed("+", IntLit(1), IntLit(2)),
+], ids=["object", "foreign-node", "foreign-node-inside", "subclass"])
+def test_ast_to_dict_rejects_foreign_nodes(node):
+    with pytest.raises(TypeError):
+        ast_to_dict(node)
