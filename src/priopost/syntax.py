@@ -37,8 +37,8 @@ comparisons and logical operators yield 1 or 0.  Nesting deeper than
 ``MAX_DEPTH`` levels is a parse error.
 
 The lexer turns the whole text into token texts and start offsets in a
-few C-level passes; the parser reads those arrays.  Every node records
-the ``line:col`` of its start token (a binary node's is its operator).
+few C-level passes.  Each node records its start token's ``line:col`` (a
+binary node's operator), found by bisecting the line starts with its offset.
 """
 
 from __future__ import annotations
