@@ -14,7 +14,6 @@ from .analysis import (
     build_post_graph,
     dead_posts,
     find_effect_free,
-    strip_dead_posts,
 )
 from .interp import (
     DEFAULT_BUDGET,
@@ -59,7 +58,7 @@ from .syntax import (
 
 __all__ = [
     "AnalysisReport", "DeadPost", "PostEdge", "PostGraph",
-    "build_post_graph", "dead_posts", "find_effect_free", "strip_dead_posts",
+    "build_post_graph", "dead_posts", "find_effect_free",
     "DEFAULT_BUDGET", "ExecFailure", "Failed", "Finished", "Interpreter",
     "Outcome", "Store", "TraceEvent", "run_program", "trace_to_jsonl",
     "AsynchList", "AsynchNode", "EmptyListError", "MarkerList", "OracleQueue",

@@ -29,19 +29,16 @@ containing division or modulo are left alone.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .syntax import (
     AssignGlobal,
     Binary,
     Expr,
-    If,
     Priority,
     Program,
     Provided,
     Run,
-    Seq,
-    Stmt,
     Synch,
     While,
     walk,
@@ -172,30 +169,3 @@ def dead_posts(program: Program) -> AnalysisReport:
                if s.method in free and not _expr_can_fault(s.arg)]
     return AnalysisReport(free, flagged, graph)
 
-
-def strip_dead_posts(program: Program, report: AnalysisReport) -> Program:
-    """Rebuild the program without the flagged posts (test-harness helper).
-
-    Statements are matched by the flagging criterion itself (target in
-    ``report.effect_free``, fault-free argument), not by source
-    position, so the strip also works on synthesized trees that carry
-    no positions.
-    """
-    def dead(stmt: Stmt) -> bool:
-        return (isinstance(stmt, Synch) and stmt.method in report.effect_free
-                and not _expr_can_fault(stmt.arg))
-
-    def rebuild(stmt: Stmt) -> Stmt:
-        match stmt:
-            case Seq(stmts):
-                kept = [rebuild(s) for s in stmts if not dead(s)]
-                return replace(stmt, stmts=kept)
-            case If(_, then, orelse):
-                return replace(stmt, then=rebuild(then), orelse=rebuild(orelse))
-            case While(_, body):
-                return replace(stmt, body=rebuild(body))
-            case _:
-                return stmt
-
-    methods = [replace(m, body=rebuild(m.body)) for m in program.methods]
-    return replace(program, methods=methods)

@@ -140,22 +140,28 @@ def _div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-# Binary operators on Python ints, before the signed 64-bit range check.
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "%": lambda a, b: a - _div(a, b) * b,
-    "==": lambda a, b: 1 if a == b else 0,
-    "!=": lambda a, b: 1 if a != b else 0,
-    "<": lambda a, b: 1 if a < b else 0,
-    "<=": lambda a, b: 1 if a <= b else 0,
-    ">": lambda a, b: 1 if a > b else 0,
-    ">=": lambda a, b: 1 if a >= b else 0,
-    "and": lambda a, b: 1 if a != 0 and b != 0 else 0,
-    "or": lambda a, b: 1 if a != 0 or b != 0 else 0,
+# Operators whose result is 0 or 1: neither ZeroDivisionError nor the range
+# check can fire, so their closures have neither.
+_TRUTH = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "and": lambda a, b: a != 0 and b != 0, "or": lambda a, b: a != 0 or b != 0,
 }
+# Operators that cannot divide by zero: only the range check can fire.
+_RANGED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# Division and modulo by an operand that may be zero: the generic closure.
+_BINARY = {"/": _div, "%": lambda a, b: a - _div(a, b) * b}
+
+
+def _literal(expr) -> int | None:
+    """The value of an in-range literal or negated literal, else None."""
+    if type(expr) is Unary and expr.op == "-" and type(expr.operand) is IntLit:
+        value = -expr.operand.value
+    elif type(expr) is IntLit:
+        value = expr.value
+    else:
+        return None
+    return value if I64_MIN <= value <= I64_MAX else None
 
 
 class _Returned(Exception):
@@ -195,6 +201,19 @@ class Interpreter:
     inlined in the ``run`` closure.  Only there is a frame popped and
     its ``return`` event emitted, so a body that runs off its end and
     one that returns early close alike.
+
+    A binary operator compiles to a closure chosen by its operator class
+    and operand shape.  A literal right operand, or a negated one, is
+    bound as a constant, and the method's own local left of it is read
+    from its cell, with no child closure.  Comparisons, ``and`` and
+    ``or`` yield 0 or 1, so they skip both the range check and the
+    ``try`` around ZeroDivisionError.  ``+ - *`` cannot divide: they keep
+    only the range check.  Division by a nonzero literal skips the
+    ``try`` and keeps the range check (``I64_MIN / -1`` overflows);
+    modulo by one skips both, as the remainder is smaller than the
+    divisor.  Division or modulo by anything else gets the generic
+    closure, with both checks.  Every shape evaluates both operands,
+    left first.
     """
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
@@ -259,9 +278,37 @@ class Interpreter:
         return negate
 
     def _compile_binary(self, expr: Binary, method: str):
-        left = _EXPR[type(expr.left)](self, expr.left, method)
-        right = _EXPR[type(expr.right)](self, expr.right, method)
-        op, line, col = _BINARY[expr.op], expr.line, expr.col
+        op, lhs, line, col = expr.op, expr.left, expr.line, expr.col
+        k, cells = _literal(expr.right), self.store.locals
+        own = (k is not None and type(lhs) is Var
+               and lhs.name == self.methods[method].local != self.program.global_name)
+        left = None if own else _EXPR[type(lhs)](self, lhs, method)
+        right = None if k is not None else _EXPR[type(expr.right)](self, expr.right, method)
+        if op in _TRUTH:
+            f = _TRUTH[op]
+            if own:
+                return lambda: 1 if f(cells[method], k) else 0
+            if right is None:
+                return lambda: 1 if f(left(), k) else 0
+            return lambda: 1 if f(left(), right()) else 0
+        if op == "%" and k:
+            m = abs(k)  # the truncating remainder has the dividend's sign
+            if own:
+                return lambda: a % m if (a := cells[method]) >= 0 else -(-a % m)
+            return lambda: a % m if (a := left()) >= 0 else -(-a % m)
+        if op in _RANGED or op == "/" and k:
+            f = _RANGED.get(op, _div)
+
+            def overflow():
+                raise ExecFailure(ARITH_OVERFLOW, line, col)
+            if own:
+                return lambda: v if I64_MIN <= (v := f(cells[method], k)) <= I64_MAX else overflow()
+            if right is None:
+                return lambda: v if I64_MIN <= (v := f(left(), k)) <= I64_MAX else overflow()
+            return lambda: v if I64_MIN <= (v := f(left(), right())) <= I64_MAX else overflow()
+        left = left or _EXPR[type(lhs)](self, lhs, method)
+        right = right or _EXPR[type(expr.right)](self, expr.right, method)
+        op = _BINARY[op]
 
         def binary():
             a = left()

@@ -31,6 +31,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .syntax import Expr, Priority
 
@@ -39,8 +40,7 @@ class EmptyListError(Exception):
     """Raised when removing from an empty post queue."""
 
 
-@dataclass(frozen=True)
-class AsynchNode:
+class AsynchNode(NamedTuple):
     """One posted call: target method, argument, and its post-time value.
 
     ``seq`` is a program-wide counter (first post is 1) that breaks

@@ -65,13 +65,9 @@ class Priority(enum.Enum):
     MEDIUM = 2
     LOW = 3
 
-    @property
-    def rank(self) -> int:
-        return self.value
-
-    @property
-    def keyword(self) -> str:
-        return self.name.lower()
+    def __init__(self, rank: int):
+        self.rank = rank  # plain attributes: enum properties cost a call per read
+        self.keyword = self.name.lower()
 
     @classmethod
     def from_keyword(cls, word: str) -> "Priority":

@@ -28,11 +28,11 @@ from priopost import (
     parse_program,
     pretty_print,
     run_program,
-    strip_dead_posts,
     trace_to_jsonl,
     validate_scopes,
 )
 
+from deadstrip import strip_dead_posts
 from progen import gen_programs
 
 

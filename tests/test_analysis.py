@@ -22,10 +22,10 @@ from priopost import (
     parse_program,
     pretty_print,
     run_program,
-    strip_dead_posts,
     validate_scopes,
 )
 
+from deadstrip import strip_dead_posts
 from progen import gen_graph_source, gen_program, gen_programs
 
 

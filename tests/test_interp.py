@@ -2,8 +2,8 @@
 dispatch order, snapshots, stack discipline, failures, and the trace format.
 
 Programs are written as source text and parsed, so these tests exercise the
-whole front end; only the foreign-node and shared-node tests build their
-trees by hand.
+whole front end; only the foreign-node, shared-node and out-of-scope-leaf
+tests build their trees by hand.
 Outcomes and traces are checked against hand-computed values.
 """
 
@@ -44,6 +44,7 @@ from priopost import (
     run_program,
     trace_to_jsonl,
 )
+from priopost.cli import main
 from priopost.interp import (
     ARITH_OVERFLOW,
     CALL_DEPTH_EXCEEDED,
@@ -104,6 +105,8 @@ def test_global_plus_local():
     ("7 / -2", -3),
     ("-7 % 2", -1),       # remainder keeps the dividend's sign
     ("7 % -2", 1),
+    ("-7 % 3 == -1", 1),
+    ("7 % -3 == 1", 1),
     ("2 < 3", 1),
     ("3 < 2", 0),
     ("3 <= 3", 1),
@@ -155,6 +158,74 @@ def test_negate_min_overflows():
 def test_values_at_limits_are_fine():
     assert eval_top(f"{I64_MAX}") == I64_MAX
     assert eval_top(f"0 - {I64_MAX} - 1") == I64_MIN
+
+
+# Each operator class and operand shape compiles to its own closure: a
+# literal right operand is a constant, the method's own local on its left
+# is read from its cell.  These pin down what each shape must still do.
+
+def fault_at(src: str) -> tuple[str, int, int]:
+    out = run_src(src)
+    assert isinstance(out, Failed), out
+    return out.kind, out.line, out.col
+
+
+def test_comparison_yields_the_integer_one_not_true(tmp_path, capsys):
+    src = "global g; meth m(x) { g := 3 < 4; }"
+    out = run_src(src)
+    assert type(out.global_value) is int and out.global_value == 1
+    assert '"kind": "assign-global", "method": "m", "value": 1}' in trace_to_jsonl(out)
+    path = tmp_path / "lt.ap"
+    path.write_text(src, encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("expr", ["0 and (1 / 0)", "1 or (1 / 0)", "x and (1 / 0)",
+                                  "(1 / 0) or 1"])
+def test_logic_operators_evaluate_both_operands(expr):
+    line = f"meth m(x) {{ g := {expr}; }}"
+    assert fault_at(f"global g;\n{line}") == (DIVISION_BY_ZERO, 2, line.index("/") + 1)
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_literal_zero_divisor_faults_at_the_operator(op):
+    for line in (f"meth m(x) {{ x := 5; g := x {op} 0; }}", f"meth m(x) {{ g := g {op} 0; }}"):
+        assert fault_at(f"global g;\n{line}") == (DIVISION_BY_ZERO, 2, line.index(op) + 1)
+
+
+def test_min_divided_by_literal_minus_one_overflows():
+    line = f"meth m(x) {{ x := 0 - {I64_MAX} - 1; g := x / -1; }}"
+    assert fault_at(f"global g;\n{line}") == (ARITH_OVERFLOW, 2, line.index("/") + 1)
+    assert eval_top(f"(0 - {I64_MAX} - 1) / 1") == I64_MIN
+    assert eval_top(f"(0 - {I64_MAX} - 1) % -1") == 0
+
+
+@pytest.mark.parametrize("body,value", [
+    ("x := -7; g := x % 3;", -1),
+    ("x := 7; g := x % -3;", 1),
+    ("x := -7; g := (x + 0) % 3;", -1),
+    ("x := -7; g := x / 2;", -3),
+    ("x := 7; g := x / -2;", -3),
+    (f"x := 0 - {I64_MAX} - 1; g := x % {I64_MAX};", -1),
+])
+def test_remainder_and_quotient_truncate_toward_zero(body, value):
+    assert final(f"global g; meth m(x) {{ {body} }}") == value
+
+
+@pytest.mark.parametrize("expr", [
+    Binary("<", Var("y"), IntLit(1)),
+    Binary("%", Var("y"), IntLit(3)),
+    Binary("+", Var("x"), Var("y")),
+], ids=["left-of-comparison", "left-of-modulo", "right"])
+def test_out_of_scope_leaf_raises_only_when_its_branch_runs(expr):
+    # Hand-built: validate_scopes would reject ``y``, so it is never called.
+    def program(cond):
+        return Program("g", [Method("m", "x", Seq([
+            If(cond, Seq([AssignGlobal("g", expr)]), Seq([]))]))])
+    assert isinstance(run_program(program(Var("x"))), Finished)
+    with pytest.raises(ValueError, match="'y' is not in scope"):
+        run_program(program(IntLit(1)))
 
 
 # -------------------------------------------------------------- statements
