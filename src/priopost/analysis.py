@@ -101,7 +101,7 @@ def _divides(node) -> bool:
     return type(node) is Binary and node.op in ("/", "%")
 
 
-def _expr_can_fault(expr: Expr) -> bool:
+def expr_can_fault(expr: Expr) -> bool:
     """True when evaluating the expression could raise (division/modulo)."""
     return any(_divides(e) for e in walk(expr))
 
@@ -166,6 +166,6 @@ def dead_posts(program: Program) -> AnalysisReport:
     """Flag every synch of an effect-free method with a fault-free argument."""
     graph, free, synchs = _survey(program)
     flagged = [DeadPost(s.method, s.line, s.col) for s in synchs
-               if s.method in free and not _expr_can_fault(s.arg)]
+               if s.method in free and not expr_can_fault(s.arg)]
     return AnalysisReport(free, flagged, graph)
 

@@ -153,17 +153,6 @@ _RANGED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _BINARY = {"/": _div, "%": lambda a, b: a - _div(a, b) * b}
 
 
-def _literal(expr) -> int | None:
-    """The value of an in-range literal or negated literal, else None."""
-    if type(expr) is Unary and expr.op == "-" and type(expr.operand) is IntLit:
-        value = -expr.operand.value
-    elif type(expr) is IntLit:
-        value = expr.value
-    else:
-        return None
-    return value if I64_MIN <= value <= I64_MAX else None
-
-
 class _Returned(Exception):
     """Raised by ``return()``; the activation it ends catches it."""
 
@@ -203,17 +192,15 @@ class Interpreter:
     one that returns early close alike.
 
     A binary operator compiles to a closure chosen by its operator class
-    and operand shape.  A literal right operand, or a negated one, is
-    bound as a constant, and the method's own local left of it is read
-    from its cell, with no child closure.  Comparisons, ``and`` and
-    ``or`` yield 0 or 1, so they skip both the range check and the
-    ``try`` around ZeroDivisionError.  ``+ - *`` cannot divide: they keep
-    only the range check.  Division by a nonzero literal skips the
-    ``try`` and keeps the range check (``I64_MIN / -1`` overflows);
-    modulo by one skips both, as the remainder is smaller than the
-    divisor.  Division or modulo by anything else gets the generic
-    closure, with both checks.  Every shape evaluates both operands,
-    left first.
+    and operand shape.  A literal right operand is bound as a constant,
+    and the method's own local left of it is read from its cell, with no
+    child closure.  Comparisons, ``and`` and ``or`` yield 0 or 1, so they
+    skip both the range check and the ``try`` around ZeroDivisionError.
+    ``+ - *`` cannot divide: they keep only the range check.  Modulo by a
+    nonzero literal skips both, as the remainder is smaller than the
+    divisor.  Division, and modulo by anything else, get the generic
+    closure, with both checks.  Every shape evaluates both operands, left
+    first.
     """
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
@@ -278,8 +265,9 @@ class Interpreter:
         return negate
 
     def _compile_binary(self, expr: Binary, method: str):
-        op, lhs, line, col = expr.op, expr.left, expr.line, expr.col
-        k, cells = _literal(expr.right), self.store.locals
+        op, line, col = expr.op, expr.line, expr.col
+        lhs, cells = expr.left, self.store.locals
+        k = expr.right.value if type(expr.right) is IntLit else None
         own = (k is not None and type(lhs) is Var
                and lhs.name == self.methods[method].local != self.program.global_name)
         left = None if own else _EXPR[type(lhs)](self, lhs, method)
@@ -291,13 +279,8 @@ class Interpreter:
             if right is None:
                 return lambda: 1 if f(left(), k) else 0
             return lambda: 1 if f(left(), right()) else 0
-        if op == "%" and k:
-            m = abs(k)  # the truncating remainder has the dividend's sign
-            if own:
-                return lambda: a % m if (a := cells[method]) >= 0 else -(-a % m)
-            return lambda: a % m if (a := left()) >= 0 else -(-a % m)
-        if op in _RANGED or op == "/" and k:
-            f = _RANGED.get(op, _div)
+        if op in _RANGED:
+            f = _RANGED[op]
 
             def overflow():
                 raise ExecFailure(ARITH_OVERFLOW, line, col)
@@ -306,6 +289,11 @@ class Interpreter:
             if right is None:
                 return lambda: v if I64_MIN <= (v := f(left(), k)) <= I64_MAX else overflow()
             return lambda: v if I64_MIN <= (v := f(left(), right())) <= I64_MAX else overflow()
+        if op == "%" and k:
+            m = abs(k)  # the truncating remainder has the dividend's sign
+            if own:
+                return lambda: a % m if (a := cells[method]) >= 0 else -(-a % m)
+            return lambda: a % m if (a := left()) >= 0 else -(-a % m)
         left = left or _EXPR[type(lhs)](self, lhs, method)
         right = right or _EXPR[type(expr.right)](self, expr.right, method)
         op = _BINARY[op]

@@ -7,7 +7,7 @@ and compare the outcomes; this module builds the stripped copy.
 from dataclasses import replace
 
 from priopost import AnalysisReport, If, Program, Seq, Stmt, Synch, While
-from priopost.analysis import _expr_can_fault
+from priopost.analysis import expr_can_fault
 
 
 def strip_dead_posts(program: Program, report: AnalysisReport) -> Program:
@@ -20,7 +20,7 @@ def strip_dead_posts(program: Program, report: AnalysisReport) -> Program:
     """
     def dead(stmt: Stmt) -> bool:
         return (isinstance(stmt, Synch) and stmt.method in report.effect_free
-                and not _expr_can_fault(stmt.arg))
+                and not expr_can_fault(stmt.arg))
 
     def rebuild(stmt: Stmt) -> Stmt:
         match stmt:
