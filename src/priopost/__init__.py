@@ -17,12 +17,10 @@ from .analysis import (
 )
 from .interp import (
     DEFAULT_BUDGET,
-    ExecFailure,
     Failed,
     Finished,
     Interpreter,
     Outcome,
-    Store,
     TraceEvent,
     run_program,
     trace_to_jsonl,
@@ -59,8 +57,8 @@ from .syntax import (
 __all__ = [
     "AnalysisReport", "DeadPost", "PostEdge", "PostGraph",
     "build_post_graph", "dead_posts", "find_effect_free",
-    "DEFAULT_BUDGET", "ExecFailure", "Failed", "Finished", "Interpreter",
-    "Outcome", "Store", "TraceEvent", "run_program", "trace_to_jsonl",
+    "DEFAULT_BUDGET", "Failed", "Finished", "Interpreter", "Outcome",
+    "TraceEvent", "run_program", "trace_to_jsonl",
     "AsynchList", "AsynchNode", "EmptyListError", "MarkerList", "OracleQueue",
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",

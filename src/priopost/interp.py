@@ -35,7 +35,6 @@ import json
 import operator
 import sys
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .postlist import AsynchList, AsynchNode
@@ -157,6 +156,11 @@ class _Returned(Exception):
     """Raised by ``return()``; the activation it ends catches it."""
 
 
+def _return():
+    """Every ``return()`` statement's closure."""
+    raise _Returned
+
+
 class Interpreter:
     """One program execution; fields are the live machine state.
 
@@ -176,20 +180,27 @@ class Interpreter:
     ``step_count`` are the same as with ``trace=True``.
 
     Code runs as closures, compiled lazily and kept on the interpreter,
-    never on the AST.  A method body is compiled the first time the
-    method is activated, and kept by method name.  An ``if`` branch or
-    a ``while`` body is compiled the first time it is taken, so code
-    that never runs is never compiled.  Each statement closure takes its
-    own step and calls its children's closures, so one level of
-    statement nesting costs one Python frame.  A ``Var`` is resolved to
-    the global or to its method's local cell when compiled; an
-    out-of-scope variable, like a ``run`` or ``synch`` to an undeclared
-    method, raises ``ValueError`` only when it executes.  ``return()``
-    takes its step and raises ``_Returned``, which unwinds the rest of
-    the body to the activation that is open: ``_activate`` or its copy
-    inlined in the ``run`` closure.  Only there is a frame popped and
-    its ``return`` event emitted, so a body that runs off its end and
-    one that returns early close alike.
+    never on the AST.  The block (``Seq``) is the unit of compilation
+    and of step accounting.  Each method body is a block closure made
+    with the interpreter, and each ``if`` branch and ``while`` body one
+    made when its statement is compiled.  A block compiles its own
+    statements and their expressions the first time it runs, so code
+    that never runs is never compiled.  The block takes the steps: one
+    on entry, then one before each statement, at that statement's
+    position.  Statement closures take none, except ``while``'s step at
+    each return to its test.  A statement calls its children's block
+    closures, so one level of statement nesting costs one Python frame.
+    A ``Var`` is resolved to the global or to its method's local cell
+    when compiled; an out-of-scope variable, like a ``run`` or ``synch``
+    to an undeclared method, raises ``ValueError`` only when it executes.
+    ``return()`` raises ``_Returned``, which unwinds the rest of the body
+    to the activation that is open: ``_activate`` or its copy inlined in
+    the ``run`` closure.  Only there is a frame popped and its ``return``
+    event emitted, so a body that runs off its end and one that returns
+    early close alike.  Like ``pretty_print``, compiling rejects trees
+    the grammar cannot express: a block as a statement raises
+    ``KeyError``, as any foreign statement does, and a branch or body
+    that is not a ``Seq`` raises ``TypeError``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -215,7 +226,7 @@ class Interpreter:
         self.trace: list[TraceEvent] = []
         self._tracing = trace
         self._post_seq = 0
-        self._bodies: dict[str, Callable[[], None]] = {}
+        self._bodies = {m.name: self._compile_block(m.body, m.name) for m in program.methods}
 
     # -- bookkeeping --
 
@@ -226,12 +237,6 @@ class Interpreter:
         if self.step_count >= self.budget:
             raise ExecFailure(STEP_BUDGET_EXHAUSTED, node.line, node.col)
         self.step_count += 1
-
-    def _body(self, method: str) -> Callable[[], None]:
-        """Compile ``method``'s body on its first activation; keep it by name."""
-        body = self.methods[method].body
-        code = self._bodies[method] = _STMT[type(body)](self, body, method)
-        return code
 
     # -- expressions: each compiles to a closure returning the value --
 
@@ -310,29 +315,35 @@ class Interpreter:
             return v
         return binary
 
-    # -- statements: each compiles to a closure that takes its step --
+    # -- statements: each compiles to a closure; its block takes its step --
 
-    def _compile_seq(self, stmt: Seq, method: str):
-        subs = [_STMT[type(sub)](self, sub, method) for sub in stmt.stmts]
-        budget, line, col = self.budget, stmt.line, stmt.col
+    def _compile_block(self, block: Seq, method: str):
+        """A closure that compiles ``block``'s statements the first time it runs."""
+        if type(block) is not Seq:
+            raise TypeError(f"not a block: {block!r}")
+        budget, line, col = self.budget, block.line, block.col
+        code = None
 
-        def seq():
+        def run_block():
+            nonlocal code
+            if code is None:
+                code = [(s.line, s.col, _STMT[type(s)](self, s, method)) for s in block.stmts]
+            # The steps are taken inline: ``_tick`` would add a call per step.
             if self.step_count >= budget:
                 raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
             self.step_count += 1
-            for sub in subs:
-                sub()
-        return seq
+            for at_line, at_col, stmt in code:
+                if self.step_count >= budget:
+                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, at_line, at_col)
+                self.step_count += 1
+                stmt()
+        return run_block
 
     def _compile_assign_global(self, stmt: AssignGlobal, method: str):
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
         store, tracing, emit = self.store, self._tracing, self._emit
 
         def assign_global():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             v = store.global_value = expr()
             if tracing:
                 emit("assign-global", method, v)
@@ -340,62 +351,36 @@ class Interpreter:
 
     def _compile_assign_local(self, stmt: AssignLocal, method: str):
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
         cells = self.store.locals
 
         def assign_local():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             cells[method] = expr()
         return assign_local
 
     def _compile_provided(self, stmt: Provided, method: str):
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
+        line, col = stmt.line, stmt.col
 
         def provided():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             if expr() == 0:
                 raise ExecFailure(PROVIDED_FAILED, line, col)
         return provided
 
     def _compile_if(self, stmt: If, method: str):
         cond = _EXPR[type(stmt.cond)](self, stmt.cond, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
-        then = orelse = None
-
-        def if_():
-            nonlocal then, orelse
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
-            if cond() != 0:
-                if then is None:
-                    then = _STMT[type(stmt.then)](self, stmt.then, method)
-                then()
-            else:
-                if orelse is None:
-                    orelse = _STMT[type(stmt.orelse)](self, stmt.orelse, method)
-                orelse()
-        return if_
+        then = self._compile_block(stmt.then, method)
+        orelse = self._compile_block(stmt.orelse, method)
+        return lambda: then() if cond() != 0 else orelse()
 
     def _compile_while(self, stmt: While, method: str):
         cond = _EXPR[type(stmt.cond)](self, stmt.cond, method)
+        body = self._compile_block(stmt.body, method)
         budget, line, col = self.budget, stmt.line, stmt.col
-        body = None
 
         def while_():
-            nonlocal body
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             while cond() != 0:
-                if body is None:
-                    body = _STMT[type(stmt.body)](self, stmt.body, method)
                 body()
+                # The step of each return to the test, inline as in ``run_block``.
                 if self.step_count >= budget:
                     raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
                 self.step_count += 1
@@ -403,15 +388,12 @@ class Interpreter:
 
     def _compile_run(self, stmt: Run, method: str):
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
+        line, col = stmt.line, stmt.col
         callee, declared = stmt.method, stmt.method in self.methods
         cells, stack, bodies = self.store.locals, self.stack, self._bodies
         tracing, emit = self._tracing, self._emit
 
         def run():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             v = arg()
             if not declared:
                 raise ValueError(f"method {callee!r} is not declared")
@@ -420,11 +402,11 @@ class Interpreter:
             cells[callee] = v
             if tracing:
                 emit("run-call", callee, v)
-            # ``_activate`` inlined, so a run chain costs no extra frame per level.
-            body = bodies.get(callee) or self._body(callee)
+            # ``_activate`` inlined: calling it costs a frame per run level, and
+            # made ``loop``'s median interpreter time per request 3% slower.
             stack.append(callee)
             try:
-                body()
+                bodies[callee]()
             except _Returned:
                 pass
             stack.pop()
@@ -432,27 +414,13 @@ class Interpreter:
                 emit("return", callee)
         return run
 
-    def _compile_return(self, stmt: Return, method: str):
-        budget, line, col = self.budget, stmt.line, stmt.col
-
-        def return_():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
-            raise _Returned
-        return return_
-
     def _compile_synch(self, stmt: Synch, method: str):
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
         callee, declared = stmt.method, stmt.method in self.methods
         arg_expr, priority = stmt.arg, stmt.priority
         tracing, emit = self._tracing, self._emit
 
         def synch():
-            if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
-            self.step_count += 1
             if not declared:
                 raise ValueError(f"method {callee!r} is not declared")
             v = arg()
@@ -467,10 +435,9 @@ class Interpreter:
 
     def _activate(self, method: str):
         """Push a frame, run the body, pop the frame and emit ``return``."""
-        body = self._bodies.get(method) or self._body(method)
         self.stack.append(method)
         try:
-            body()
+            self._bodies[method]()
         except _Returned:
             pass
         self.stack.pop()
@@ -481,7 +448,8 @@ class Interpreter:
         """Startup phase, then drain; the program must be scope-valid."""
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
         # however deep the caller's stack is: MAX_DEPTH frames per activation,
-        # and two activations' worth to compile a body and evaluate its deepest
+        # and two activations' worth to compile a block (its own statements and
+        # their expressions, never a nested block) and evaluate its deepest
         # expression.  The limit is process-wide, so runs in threads take turns.
         with _RUN_LOCK:
             limit = sys.getrecursionlimit()
@@ -519,10 +487,10 @@ _EXPR = {
     Unary: Interpreter._compile_unary, Binary: Interpreter._compile_binary,
 }
 _STMT = {
-    Seq: Interpreter._compile_seq, AssignGlobal: Interpreter._compile_assign_global,
+    AssignGlobal: Interpreter._compile_assign_global,
     AssignLocal: Interpreter._compile_assign_local, Provided: Interpreter._compile_provided,
     If: Interpreter._compile_if, While: Interpreter._compile_while,
-    Run: Interpreter._compile_run, Return: Interpreter._compile_return,
+    Run: Interpreter._compile_run, Return: lambda interp, stmt, method: _return,
     Synch: Interpreter._compile_synch,
 }
 

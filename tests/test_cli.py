@@ -1,4 +1,4 @@
-"""Command-line interface tests.
+"""Command-line interface tests, and README's list of library names.
 
 Exit-code contract: 0 success, 1 runtime fault, 2 parse/scope error.
 Most tests drive ``main(argv)`` in-process; determinism is additionally
@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+import priopost
 from priopost import ast_to_dict, parse_program, pretty_print, run_program, trace_to_jsonl
 from priopost.cli import main
 
 from test_syntax import DEEP_PROBES
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 
 
 def run_cli(*argv):
@@ -109,6 +111,12 @@ def test_run_dump_final_store(capsys):
     # Locals in declaration order: w was dispatched with snapshot 6.
     assert list(data["locals"]) == ["w", "main"]
     assert data["locals"]["w"] == 6
+
+
+def test_run_dump_final_store_adds_nothing_on_a_fault(capsys):
+    assert run_cli("run", PROGRAMS / "provided_zero.ap", "--dump-final-store") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        '{"kind": "provided-failed", "location": {"line": 9, "col": 5}}']
 
 
 def test_run_rejects_budget_below_one(capsys):
@@ -322,3 +330,11 @@ def test_calls_in_one_process_share_no_state(tmp_path, capsys, command, flags):
         assert first_alone[0] == 2
         assert first_alone[2].startswith("usage: priopost run")
         assert "budget must be at least 1" in first_alone[2]
+
+
+# ----------------------------------------------------------------- library
+
+def test_readme_lists_every_exported_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    assert [name for name in priopost.__all__ if f"`{name}`" not in library] == []

@@ -2,8 +2,8 @@
 dispatch order, snapshots, stack discipline, failures, and the trace format.
 
 Programs are written as source text and parsed, so these tests exercise the
-whole front end; only the foreign-node, shared-node and out-of-scope-leaf
-tests build their trees by hand.
+whole front end; only the foreign-node, grammar-rejection, shared-node and
+out-of-scope-leaf tests build their trees by hand.
 Outcomes and traces are checked against hand-computed values.
 """
 
@@ -19,6 +19,7 @@ import pytest
 from priopost import (
     DEFAULT_BUDGET,
     AssignGlobal,
+    AssignLocal,
     AsynchList,
     Binary,
     Expr,
@@ -436,6 +437,40 @@ def test_budget_counts_across_whole_run():
     assert failure_kind(src, budget=20) == STEP_BUDGET_EXHAUSTED
 
 
+STEP_RULE_SRC = ("global g;\nmeth m(x) {\n"
+                 "    if x { g := x; } else { x := 2; while x > 0 { x := x - 1; } synch(m(5), low); }\n"
+                 "}\n")
+# The position of each step of STEP_RULE_SRC's run, in order.
+STEP_RULE_STEPS = [
+    (2, 1),                     # startup starts m
+    (2, 11), (3, 5),            # m's body block, its if
+    (3, 27), (3, 29), (3, 37),  # the else block, x := 2, the while
+    (3, 49), (3, 51), (3, 37),  # the loop body block, x := x - 1, back to the test
+    (3, 49), (3, 51), (3, 37),
+    (3, 65),                    # synch(m(5), low)
+    (3, 73),                    # dispatching m(5), at its argument
+    (2, 11), (3, 5),            # m's body block, its if
+    (3, 10), (3, 12),           # the then block, g := x
+]
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["trace", "no-trace"])
+def test_step_rule(trace):
+    # A step: starting a method at startup, dispatching a posted call,
+    # entering a block, each statement a block runs, and each return to a
+    # while test after its body.  Budget N allows N steps and faults at
+    # the position of step N + 1.
+    program = parse_program(STEP_RULE_SRC)
+    interp = Interpreter(program, trace=trace)
+    out = interp.run()
+    assert isinstance(out, Finished) and out.global_value == 5
+    assert interp.step_count == len(STEP_RULE_STEPS) == 18
+    for budget in range(1, 18):
+        out = Interpreter(program, budget=budget, trace=trace).run()
+        assert (out.kind, out.line, out.col) == (STEP_BUDGET_EXHAUSTED, *STEP_RULE_STEPS[budget])
+    assert isinstance(Interpreter(program, budget=18, trace=trace).run(), Finished)
+
+
 # ------------------------------------------------------- startup and drain
 
 def test_all_methods_run_at_startup_in_order():
@@ -691,6 +726,21 @@ class ForeignExpr(Expr):
 def test_foreign_node_raises_instead_of_an_outcome(stmt):
     program = Program("g", [Method("m", "x", Seq([stmt]))])
     with pytest.raises(KeyError):
+        Interpreter(program).run()
+
+
+@pytest.mark.parametrize("body,error", [
+    (Seq([Seq([AssignGlobal("g", IntLit(1))])]), KeyError),
+    (Seq([If(Var("x"), AssignGlobal("g", IntLit(1)), Seq([]))]), TypeError),
+    (Seq([If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1)))]), TypeError),
+    (Seq([While(Var("x"), AssignLocal("x", IntLit(0)))]), TypeError),
+    (AssignGlobal("g", IntLit(1)), TypeError),
+], ids=["block-as-statement", "then", "else", "while", "body"])
+def test_interpreter_rejects_trees_the_grammar_cannot_express(body, error):
+    # As pretty_print does: a block is no statement, and a branch or body
+    # is always a block.
+    program = Program("g", [Method("m", "x", body)])
+    with pytest.raises(error):
         Interpreter(program).run()
 
 
