@@ -22,7 +22,11 @@ cycles, self-loops, duplicate method names and undeclared targets.
 The tokens (kind, text, line:col) or the tokenizer's ParseError
 (message, line:col) of the same texts, of the files in ``programs/`` and
 of seeded noise over every character class the tokenizer tells apart
-are locked too, since parse digests are position-free.
+are locked too, since parse digests are position-free.  So is the class
+and ``line:col`` of every node, in ``walk`` order, of the corpus
+programs in five layouts (plain, CRLF, tabs with trailing comments, no
+indents, a comment that ends the file), of the files in ``programs/``,
+and of a file of 1,000+ lines joined from corpus programs.
 
 Re-record only when observable behaviour is meant to change:
 
@@ -51,7 +55,7 @@ from priopost import (
     trace_to_jsonl,
     validate_scopes,
 )
-from priopost.syntax import KEYWORDS, tokenize
+from priopost.syntax import KEYWORDS, tokenize, walk
 
 HERE = Path(__file__).resolve().parent
 LOCK_FILE = HERE / "behaviour_lock.json"
@@ -61,6 +65,7 @@ CORPUS_COUNT = 1000
 CHUNK = 100
 FRONT_SEED = 20150101
 FRONT_COUNT = 2000
+JOINED_PROGRAMS = 60
 
 
 def run_summary(program, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
@@ -126,6 +131,30 @@ def lex_summary(text: str) -> str:
         return "".join(f"{t.kind} {t.text} {t.line}:{t.col}\n" for t in tokenize(text))
     except ParseError as err:
         return f"error {err.line}:{err.col} {err.message}\n"
+
+
+def positions_summary(text: str) -> str:
+    program = parse_program(text)
+    nodes = [program]
+    for method in program.methods:
+        nodes += (method, *walk(method.body))
+    return "".join(f"{type(n).__name__} {n.line}:{n.col}\n" for n in nodes)
+
+
+def layouts(text: str) -> list[str]:
+    """``text`` as written, with CRLF line ends, with tab indents and a
+    comment after each ``;``, with no indents, so that statements start
+    lines, and between comments, the last one ending the file."""
+    return [text, text.replace("\n", "\r\n"),
+            text.replace("    ", "\t").replace(";", "; // note"), text.replace("    ", ""),
+            "// head\n" + text + "// tail, no newline"]
+
+
+def position_texts(corpus: list[str], samples: list[str]) -> list[str]:
+    joined = "global g;\n" + "".join(text.split("\n", 1)[1]
+                                     for text in corpus[:JOINED_PROGRAMS])
+    assert joined.count("\n") >= 1000
+    return [*samples, *(v for text in [*corpus, joined] for v in layouts(text))]
 
 
 def noise(rng: random.Random) -> str:
@@ -210,6 +239,7 @@ def front_end_digests() -> dict[str, str]:
         "lex:random": digest(map(lex_summary, random_texts)),
         "lex:noise": digest(map(lex_summary, noise_texts)),
         "lex:programs": digest(map(lex_summary, sample_texts)),
+        "parse:positions": digest(map(positions_summary, position_texts(corpus, sample_texts))),
     }
 
 
@@ -233,7 +263,7 @@ def test_progen_corpus_locked():
 
 def test_front_end_locked():
     got = front_end_digests()
-    assert len(got) == 10
+    assert len(got) == 11
     assert mismatches(got) == []
 
 
