@@ -37,8 +37,10 @@ comparisons and logical operators yield 1 or 0.  Nesting deeper than
 ``MAX_DEPTH`` levels is a parse error.
 
 The lexer turns the whole text into token texts and start offsets in a
-few C-level passes.  Each node records its start token's ``line:col`` (a
-binary node's operator), found by bisecting the line starts with its offset.
+few C-level passes: one ``re.split``, and one running sum of each token's
+skipped text and the token before it.  Each node records its start
+token's ``line:col`` (a binary node's operator), found by bisecting the
+line starts with its offset as the node is built.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ import enum
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import add
 from typing import NamedTuple
 
 I64_MIN = -(2**63)
@@ -90,85 +93,85 @@ class ParseError(Exception):
 # Every node carries its source position; positions are excluded from
 # equality so that parse(pretty_print(ast)) == ast holds structurally.
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     line: int = field(default=0, compare=False, repr=False, kw_only=True)
     col: int = field(default=0, compare=False, repr=False, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # "-" or "!"
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # one of + - * / % == != < <= > >= and or
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Seq(Stmt):
     """A brace-delimited statement list; empty means no-op."""
 
     stmts: list[Stmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignGlobal(Stmt):
     name: str
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignLocal(Stmt):
     name: str
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Provided(Stmt):
     """Continues only when the expression is non-zero; aborts otherwise."""
 
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     orelse: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class Run(Stmt):
     """Immediate (synchronous) call of another method."""
 
@@ -176,12 +179,12 @@ class Run(Stmt):
     arg: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Synch(Stmt):
     """Posts a call for later dispatch at the given priority."""
 
@@ -190,14 +193,14 @@ class Synch(Stmt):
     priority: Priority
 
 
-@dataclass
+@dataclass(slots=True)
 class Method(Node):
     name: str
     local: str
     body: Seq
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     global_name: str
     methods: list[Method]
@@ -213,8 +216,9 @@ class Token(NamedTuple):
 
 
 # Blanks, newlines and ``//`` comments; possessive, so a comment is never
-# given back in part and read as tokens.
-_SKIP = r"(?:[ \t\r\n]++|//[^\n]*+)*+"
+# given back in part and read as tokens.  A comment runs to a newline or
+# the end, so one never directly follows another.
+_SKIP = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
 # Each match is the text skipped before a token, then the token, or an
 # empty token at the end of the file.  ``split`` returns gap, skipped,
 # token, gap, ..., gap; a gap is empty unless it holds a bad character.
@@ -234,24 +238,26 @@ def _lex(source: str) -> tuple[list[str], list[int], list[int]]:
     character or out-of-range literal is reported before any parse error.
     """
     pieces = _SPLIT.split(source)
-    offsets = list(accumulate(map(len, pieces), initial=0))
-    texts, starts = pieces[2::3], offsets[2::3]
+    texts = pieces[2::3]
+    lengths = list(map(len, texts))
+    # A token starts after every skip up to its own and every token before it.
+    starts = list(accumulate(map(add, map(len, pieces[1::3]), chain((0,), lengths))))
     line_starts = list(accumulate(map((1).__add__, map(len, source.split("\n"))), initial=0))
     bad = None
-    if any(gaps := pieces[::3]):
-        first = next(i for i, gap in enumerate(gaps) if gap)
-        bad = re.compile(_SKIP).match(source, offsets[3 * first]).end()
+    if starts[-1] != len(source):  # the gaps are not all empty
+        first = next(i for i, gap in enumerate(pieces[::3]) if gap)
         # Matches after a bad character may start inside a comment.
         del texts[first:], starts[first:]
-    if max(map(len, texts), default=0) >= 19:
+        bad = re.compile(_SKIP).match(source, starts[-1] + len(texts[-1]) if texts else 0).end()
+    if max(lengths) >= 19:
         for text, start in zip(texts, starts):
             # int() refuses more than 4,300 digits, so count them first.
             if text[:1].isdigit() and (len(d := text.lstrip("0")) > 19 or int(d or 0) > I64_MAX):
                 raise ParseError("integer literal out of range", *_line_col(line_starts, start))
     if bad is not None:
         raise ParseError(f"unexpected character {source[bad]!r}", *_line_col(line_starts, bad))
-    end = texts.index("") + 1  # the end of the file may match twice
-    del texts[end:], starts[end:]
+    if len(texts) > 1 and not texts[-2]:  # the end of the file matched twice
+        del texts[-1], starts[-1]
     if (comment := source.find("//", line_starts[-2])) >= 0:  # a comment ends the file
         starts[-1] = comment
     return texts, starts, line_starts
@@ -269,10 +275,6 @@ def tokenize(source: str) -> list[Token]:
     return [Token("eof" if not text else "int" if text[0].isdigit() else "keyword"
                   if text in KEYWORDS else "ident" if text.isidentifier() else "punct",
                   text, *_line_col(line_starts, start)) for text, start in zip(texts, starts)]
-
-
-def _is_ident(text: str) -> bool:
-    return text.isidentifier() and text not in KEYWORDS
 
 
 # --- Parser ------------------------------------------------------------
@@ -301,44 +303,39 @@ counts one level per operator.  Deeper input is a ``ParseError``
 class _Parser:
     """Recursive descent over ``_lex``'s arrays, by token index.  It asks
     whether a text is an identifier or a literal only where the grammar
-    does, and bisects the line starts with a token's offset only for a
-    node built at the token or an error raised there."""
+    does.  A node is built from its fields alone (keywords would cost a
+    dict per call) and then placed: given the ``line:col`` of its token,
+    inline on hot paths, which also test a token inline and call
+    ``_expect`` only to raise.
+
+    Each parse method takes ``depth``, the levels open above the node it
+    parses, and raises ``nesting too deep`` at the node's token when that
+    node would sit below ``MAX_DEPTH``.  An expression also returns its
+    height, since a left-associative chain deepens at its root."""
 
     def __init__(self, source: str):
         self.texts, self.offsets, self.line_starts = _lex(source)
         self.pos = 0  # index of the next token; never moves past the end
         self.global_name = ""
-        self.depth = 0  # levels open above the node being parsed
 
-    def _node(self, cls, start: int, *fields):
-        """``cls(*fields)`` at the position of token ``start``."""
-        line, col = _line_col(self.line_starts, self.offsets[start])
-        return cls(*fields, line=line, col=col)
+    def _placed(self, node, index: int):
+        """``node``, at the position of token ``index``."""
+        node.line, node.col = _line_col(self.line_starts, self.offsets[index])
+        return node
 
     def _error(self, message, expected=(), index=None):
         offset = self.offsets[self.pos if index is None else index]
         raise ParseError(message, *_line_col(self.line_starts, offset), expected)
 
-    def _fit(self, index: int, height: int = 1):
-        """Raise at token ``index`` unless ``height`` more levels stay within MAX_DEPTH."""
-        if self.depth + height > MAX_DEPTH:
-            self._error("nesting too deep", index=index)
-
-    def _enter(self, index: int):
-        """Open one level at token ``index``; the caller closes it with ``depth -= 1``."""
-        self._fit(index)
-        self.depth += 1
-
-    def _expect(self, text: str):
-        pos = self.pos
-        if self.texts[pos] != text:
-            found = self.texts[pos] or "end of file"
-            self._error(f"expected '{text}', found '{found}'", expected=(text,))
-        self.pos = pos + 1
+    def _expect(self, *texts: str):
+        for text in texts:
+            if (found := self.texts[self.pos]) != text:
+                self._error(f"expected '{text}', found '{found or 'end of file'}'", expected=(text,))
+            self.pos += 1
 
     def _expect_ident(self, what: str) -> str:
         text = self.texts[self.pos]
-        if not _is_ident(text):
+        if not text.isidentifier() or text in KEYWORDS:
             self._error(f"expected {what}", expected=("identifier",))
         self.pos += 1
         return text
@@ -352,7 +349,7 @@ class _Parser:
             methods.append(self._method())
         if self.texts[self.pos]:
             self._error("expected 'meth'", expected=("meth",))
-        return self._node(Program, 0, self.global_name, methods)
+        return self._placed(Program(self.global_name, methods), 0)
 
     def _method(self) -> Method:
         start = self.pos
@@ -363,119 +360,122 @@ class _Parser:
         self._expect("(")
         local = self._expect_ident("local variable name")
         self._expect(")")
-        return self._node(Method, start, name, local, self._block())
+        return self._placed(Method(name, local, self._block(0)), start)
 
-    def _block(self) -> Seq:
+    def _block(self, depth: int) -> Seq:
+        """A block at ``depth``, with its statements parsed in place, one
+        level below it, and their expressions and blocks two levels below."""
+        texts, offsets, line_starts = self.texts, self.offsets, self.line_starts
         start = self.pos
-        self._expect("{")
-        self._enter(start)
+        if texts[start] != "{":
+            self._expect("{")
+        self.pos = start + 1
+        if depth >= MAX_DEPTH:
+            self._error("nesting too deep", index=start)
+        inner = depth + 2
         stmts = []
-        while (text := self.texts[self.pos]) != "}":
+        while (text := texts[pos := self.pos]) != "}":
             if not text:
                 self._error("expected '}'", expected=("}",))
-            self._enter(self.pos)
-            stmts.append(self._stmt())
-            self.depth -= 1
-        self.depth -= 1
+            if inner > MAX_DEPTH:
+                self._error("nesting too deep")
+            self.pos = pos + 1
+            if text.isidentifier() and text not in KEYWORDS:
+                self._expect(":=")
+                e, _ = self._expr(inner)
+                if texts[self.pos] != ";":
+                    self._expect(";")
+                self.pos += 1
+                stmt = (AssignGlobal if text == self.global_name else AssignLocal)(text, e)
+            elif text == "if":
+                cond, _ = self._expr(inner)
+                then = self._block(inner)
+                self._expect("else")
+                stmt = If(cond, then, self._block(inner))
+            elif text == "synch":
+                self._expect("(")
+                method = self._expect_ident("method name")
+                self._expect("(")
+                arg, _ = self._expr(inner)
+                self._expect(")", ",")
+                prio = texts[self.pos]
+                if prio not in ("high", "medium", "low"):
+                    self._error("expected priority", expected=("high", "medium", "low"))
+                self.pos += 1
+                self._expect(")", ";")
+                stmt = Synch(method, arg, Priority.from_keyword(prio))
+            elif text == "run":
+                method = self._expect_ident("method name")
+                self._expect("(")
+                arg, _ = self._expr(inner)
+                self._expect(")", ";")
+                stmt = Run(method, arg)
+            elif text == "provided":
+                e, _ = self._expr(inner)
+                self._expect(";")
+                stmt = Provided(e)
+            elif text == "while":
+                cond, _ = self._expr(inner)
+                stmt = While(cond, self._block(inner))
+            elif text == "return":
+                self._expect("(", ")", ";")
+                stmt = Return()
+            else:
+                self._error("expected statement", expected=(
+                    "identifier", "provided", "if", "while", "run", "return", "synch", "}"), index=pos)
+            offset = offsets[pos]
+            line = bisect_right(line_starts, offset)
+            stmt.line, stmt.col = line, offset - line_starts[line - 1] + 1
+            stmts.append(stmt)
         self.pos += 1
-        return self._node(Seq, start, stmts)
+        return self._placed(Seq(stmts), start)
 
-    def _stmt(self) -> Stmt:
-        start = self.pos
-        text = self.texts[start]
-        self.pos = start + 1
-        if _is_ident(text):
-            self._expect(":=")
-            e, _ = self._expr()
-            self._expect(";")
-            cls = AssignGlobal if text == self.global_name else AssignLocal
-            return self._node(cls, start, text, e)
-        if text == "provided":
-            e, _ = self._expr()
-            self._expect(";")
-            return self._node(Provided, start, e)
-        if text == "if":
-            cond, _ = self._expr()
-            then = self._block()
-            self._expect("else")
-            return self._node(If, start, cond, then, self._block())
-        if text == "while":
-            cond, _ = self._expr()
-            return self._node(While, start, cond, self._block())
-        if text == "run":
-            method = self._expect_ident("method name")
-            self._expect("(")
-            arg, _ = self._expr()
-            self._expect(")")
-            self._expect(";")
-            return self._node(Run, start, method, arg)
-        if text == "return":
-            self._expect("(")
-            self._expect(")")
-            self._expect(";")
-            return self._node(Return, start)
-        if text == "synch":
-            self._expect("(")
-            method = self._expect_ident("method name")
-            self._expect("(")
-            arg, _ = self._expr()
-            self._expect(")")
-            self._expect(",")
-            prio = self.texts[self.pos]
-            if prio not in ("high", "medium", "low"):
-                self._error("expected priority", expected=("high", "medium", "low"))
-            self.pos += 1
-            self._expect(")")
-            self._expect(";")
-            return self._node(Synch, start, method, arg, Priority.from_keyword(prio))
-        self._error(
-            "expected statement",
-            expected=("identifier", "provided", "if", "while", "run", "return", "synch", "}"),
-            index=start,
-        )
-
-    def _expr(self, min_prec: int = 1) -> tuple[Expr, int]:
+    def _expr(self, depth: int, min_prec: int = 1) -> tuple[Expr, int]:
         """Precedence climbing over ``_PREC``: an expression whose binary
-        operators bind at least as tightly as ``min_prec``, and its height
-        in levels.  The loop builds each left-associative chain without
-        recursing; only a right operand recurses, one precedence up.
-        """
-        left, height = self._operand()
-        texts = self.texts
+        operators bind at least as tightly as ``min_prec``, and its height.
+        The loop builds each left-associative chain without recursing; a
+        right operand recurses one precedence up, and a unary operand at
+        ``_UNARY_PREC``, which no binary operator reaches."""
+        texts, offsets, line_starts = self.texts, self.offsets, self.line_starts
+        start = self.pos
+        text = texts[start]
+        self.pos = start + 1
+        if text.isdigit() or text.isidentifier() and text not in KEYWORDS:
+            if depth >= MAX_DEPTH:
+                self._error("nesting too deep", index=start)
+            left = IntLit(int(text.lstrip("0") or "0")) if text.isdigit() else Var(text)
+            offset = offsets[start]
+            line = bisect_right(line_starts, offset)
+            left.line, left.col = line, offset - line_starts[line - 1] + 1
+            height = 1
+        elif text == "-" or text == "!" or text == "(":
+            if depth >= MAX_DEPTH:
+                self._error("nesting too deep", index=start)
+            if text == "(":
+                left, height = self._expr(depth + 1)
+                if texts[self.pos] != ")":
+                    self._expect(")")
+                self.pos += 1
+            else:
+                operand, height = self._expr(depth + 1, _UNARY_PREC)
+                left = self._placed(Unary(text, operand), start)
+            height += 1
+        else:
+            self._error("expected expression", expected=("integer", "identifier", "("), index=start)
+        # The left operand fit, so depth < MAX_DEPTH and each operator does too.
         while (prec := _PREC.get(texts[self.pos], 0)) >= min_prec:
             op = self.pos
             self.pos = op + 1
-            self._enter(op)
-            right, right_height = self._expr(prec + 1)
-            self.depth -= 1
+            right, right_height = self._expr(depth + 1, prec + 1)
             # The new node lifts the whole chain so far one level deeper.
             height = max(height, right_height) + 1
-            self._fit(op, height)
-            left = self._node(Binary, op, texts[op], left, right)
+            if depth + height > MAX_DEPTH:
+                self._error("nesting too deep", index=op)
+            left = Binary(texts[op], left, right)
+            offset = offsets[op]
+            line = bisect_right(line_starts, offset)
+            left.line, left.col = line, offset - line_starts[line - 1] + 1
         return left, height
-
-    def _operand(self) -> tuple[Expr, int]:
-        """A literal, variable, unary operation or parenthesised group."""
-        start = self.pos
-        text = self.texts[start]
-        if text.isdigit() or _is_ident(text):
-            self._fit(start)
-            self.pos = start + 1
-            if text.isdigit():
-                return self._node(IntLit, start, int(text.lstrip("0") or "0")), 1
-            return self._node(Var, start, text), 1
-        if text not in ("-", "!", "("):
-            self._error("expected expression", expected=("integer", "identifier", "("))
-        self.pos = start + 1
-        self._enter(start)
-        if text == "(":
-            e, height = self._expr()
-            self._expect(")")
-        else:
-            operand, height = self._operand()
-            e = self._node(Unary, start, text, operand)
-        self.depth -= 1
-        return e, height + 1
 
 
 def parse_program(source: str) -> Program:

@@ -8,7 +8,7 @@ kind.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -41,7 +41,8 @@ from priopost import (
     run_program,
     validate_scopes,
 )
-from priopost.syntax import I64_MAX, MAX_DEPTH, tokenize
+from priopost import syntax
+from priopost.syntax import I64_MAX, MAX_DEPTH, Node, Stmt, tokenize
 
 from progen import gen_programs
 
@@ -213,6 +214,48 @@ def test_positions_recorded_but_ignored_by_equality():
     assert a == b
     stmt = a.methods[0].body.stmts[0]
     assert stmt.line == 1 and stmt.col > 1
+
+
+# Every node class and its own fields, after the ``line`` and ``col`` that
+# all nodes have.  ``bench/spans.count_nodes`` counts nodes through
+# ``is_dataclass`` and ``fields``.
+NODE_FIELDS = {
+    IntLit: ("value",), Var: ("name",), Unary: ("op", "operand"),
+    Binary: ("op", "left", "right"), Seq: ("stmts",), AssignGlobal: ("name", "expr"),
+    AssignLocal: ("name", "expr"), Provided: ("expr",), If: ("cond", "then", "orelse"),
+    While: ("cond", "body"), Run: ("method", "arg"), Return: (),
+    Synch: ("method", "arg", "priority"), Method: ("name", "local", "body"),
+    Program: ("global_name", "methods"),
+}
+
+
+def test_node_fields_list_every_node_class():
+    classes = {c for c in vars(syntax).values()
+               if isinstance(c, type) and issubclass(c, Node)}
+    assert classes == {Node, Expr, Stmt, *NODE_FIELDS}
+
+
+@pytest.mark.parametrize("cls", NODE_FIELDS, ids=lambda cls: cls.__name__)
+def test_node_class_contract(cls):
+    names = NODE_FIELDS[cls]
+    assert is_dataclass(cls)
+    assert [f.name for f in fields(cls)] == ["line", "col", *names]
+    values = list(range(len(names)))
+    bare, placed = cls(*values), cls(*values, line=7, col=3)
+    assert [getattr(placed, name) for name in names] == values
+    assert (bare.line, bare.col, placed.line, placed.col) == (0, 0, 7, 3)
+    # Positions take no part in equality or repr.
+    assert bare == placed and repr(bare) == repr(placed)
+    assert "line" not in repr(placed)
+    # dataclasses.replace keeps them.
+    moved = replace(placed, **{name: -1 for name in names})
+    assert (moved.line, moved.col) == (7, 3)
+    assert not hasattr(placed, "__dict__")
+
+
+def test_int_lit_constructs_with_and_without_position():
+    assert IntLit(3) == IntLit(3, line=2, col=5) == IntLit(value=3)
+    assert (IntLit(3).line, IntLit(3, line=2, col=5).col) == (0, 5)
 
 
 # ------------------------------------------- precedence and associativity
