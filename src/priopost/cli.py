@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .analysis import dead_posts
@@ -43,7 +44,9 @@ def _load_program(path: str) -> Program | None:
 
 def cmd_parse(program: Program, emit_ast: bool = False) -> int:
     if emit_ast:
-        print(json.dumps(ast_to_dict(program)))
+        # ast_to_dict builds a fresh tree with no shared parts, so the
+        # cycle check would only cost time.
+        print(json.dumps(ast_to_dict(program), check_circular=False))
     else:
         sys.stdout.write(pretty_print(program))
     return 0
@@ -135,7 +138,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader went away: exit quietly, with the code of an unwritable
+        # trace file, and point stdout at devnull so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -269,6 +269,21 @@ def test_endless_run_is_a_fault_not_a_traceback(tmp_path):
                                          "location": {"line": 2, "col": 25}}
 
 
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # The AST JSON of 3,000 methods is far larger than a pipe's buffer, so
+    # the writer is still writing when the reader closes its end.
+    src = tmp_path / "big.ap"
+    src.write_text("global g;\n" + "".join(
+        f"meth m{i}(x) {{ g := x * {i} + g; }}\n" for i in range(3000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "priopost.cli", "parse", "--emit-ast", str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"kind": "'
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), stderr) == (2, "")
+
+
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
     # A 1,500-method synch chain: an analysis that recurses along the
     # chain from a start picked in set order fails for some hash seeds.
