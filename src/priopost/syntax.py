@@ -37,10 +37,9 @@ comparisons and logical operators yield 1 or 0.  Nesting deeper than
 ``MAX_DEPTH`` levels is a parse error.
 
 The lexer turns the whole text into token texts and start offsets in a
-few C-level passes: one ``re.split``, and one running sum of each token's
-skipped text and the token before it.  Each node records its start
-token's ``line:col`` (a binary node's operator), found by bisecting the
-line starts with its offset as the node is built.
+few C-level passes: one ``re.split`` and a running sum of the lengths.
+Each node records its start token's ``line:col`` (a binary node's
+operator), bisected from the line starts as the node is built.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import enum
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import add
 from typing import NamedTuple
 
@@ -249,10 +248,10 @@ def _lex(source: str) -> tuple[list[str], list[int], list[int]]:
         # Matches after a bad character may start inside a comment.
         del texts[first:], starts[first:]
         bad = re.compile(_SKIP).match(source, starts[-1] + len(texts[-1]) if texts else 0).end()
-    if max(lengths) >= 19:
-        for text, start in zip(texts, starts):
+    if max(lengths) >= 19:  # only a literal this long can be out of range
+        for text, start in compress(zip(texts, starts), map((19).__le__, lengths)):
             # int() refuses more than 4,300 digits, so count them first.
-            if text[:1].isdigit() and (len(d := text.lstrip("0")) > 19 or int(d or 0) > I64_MAX):
+            if text[0].isdigit() and (len(d := text.lstrip("0")) > 19 or int(d or 0) > I64_MAX):
                 raise ParseError("integer literal out of range", *_line_col(line_starts, start))
     if bad is not None:
         raise ParseError(f"unexpected character {source[bad]!r}", *_line_col(line_starts, bad))
@@ -363,8 +362,9 @@ class _Parser:
         return self._placed(Method(name, local, self._block(0)), start)
 
     def _block(self, depth: int) -> Seq:
-        """A block at ``depth``, with its statements parsed in place, one
-        level below it, and their expressions and blocks two levels below."""
+        """A block at ``depth``, with its statements parsed in place (the
+        commonest forms tested first), one level below it, and their
+        expressions and blocks two levels below."""
         texts, offsets, line_starts = self.texts, self.offsets, self.line_starts
         start = self.pos
         if texts[start] != "{":

@@ -253,11 +253,6 @@ def test_node_class_contract(cls):
     assert not hasattr(placed, "__dict__")
 
 
-def test_int_lit_constructs_with_and_without_position():
-    assert IntLit(3) == IntLit(3, line=2, col=5) == IntLit(value=3)
-    assert (IntLit(3).line, IntLit(3, line=2, col=5).col) == (0, 5)
-
-
 # ------------------------------------------- precedence and associativity
 
 def shape(src: str):
