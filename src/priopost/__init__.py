@@ -25,7 +25,7 @@ from .interp import (
     run_program,
     trace_to_jsonl,
 )
-from .postlist import AsynchList, AsynchNode, EmptyListError, MarkerList, OracleQueue
+from .postlist import AsynchList, AsynchNode, EmptyListError
 from .syntax import (
     AssignGlobal,
     AssignLocal,
@@ -59,7 +59,7 @@ __all__ = [
     "build_post_graph", "dead_posts", "find_effect_free",
     "DEFAULT_BUDGET", "Failed", "Finished", "Interpreter", "Outcome",
     "TraceEvent", "run_program", "trace_to_jsonl",
-    "AsynchList", "AsynchNode", "EmptyListError", "MarkerList", "OracleQueue",
+    "AsynchList", "AsynchNode", "EmptyListError",
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",
     "Run", "ScopeError", "Seq", "Stmt", "Synch", "Unary", "Var", "While",

@@ -141,9 +141,12 @@ def entry():
     try:
         code = main()
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-    except BrokenPipeError:
-        # The reader went away: exit quietly, with the code of an unwritable
-        # trace file, and point stdout at devnull so the exit flush succeeds.
+    except OSError as err:
+        # stdout cannot be written: exit with the code of an unwritable trace
+        # file, quietly if the reader went away, and point stdout at devnull
+        # so the exit flush succeeds.
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     raise SystemExit(code)

@@ -169,11 +169,11 @@ class Interpreter:
     to audit terminal states.
 
     ``postlist`` is the post queue to run on: by default a new
-    ``AsynchList``, or any queue with its interface, such as
-    ``MarkerList.empty()`` or ``OracleQueue()``.  ``add`` and
-    ``remove_first`` return the queue to use next and may update their
-    receiver in place, as ``AsynchList`` does, so a queue passed in is
-    mutated by the run.
+    ``AsynchList``.  It is also a hook: any object answering the three
+    calls ``AsynchList`` documents (``is_empty``, ``add`` and
+    ``remove_first``) runs in its place, which is how the tests
+    cross-check a reference queue.  A queue passed in may be mutated by
+    the run, as ``AsynchList`` updates itself in place.
 
     With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
     ``[]`` and so does the outcome's, while the outcome, the store and
@@ -498,9 +498,9 @@ _STMT = {
 def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
     """Run a scope-valid program to its terminal state on a new ``AsynchList``.
 
-    To run on another queue, such as ``MarkerList.empty()`` or
-    ``OracleQueue()`` to cross-check the scheduler, pass it as
-    ``Interpreter``'s ``postlist``, which the run may mutate.
+    To run on another queue, for example to cross-check the scheduler
+    against a reference, pass it as ``Interpreter``'s ``postlist``,
+    which the run may mutate.
     """
     return Interpreter(program, budget=budget).run()
 

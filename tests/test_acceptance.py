@@ -2,10 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 Every criterion is checked against an independent oracle: hand-computed
-traces for the targeted programs, the brute-force OracleQueue for queue
-order and for the paper's MarkerList, a reparse oracle for printing, and differential runs for the
-dead-post analysis.  Randomized corpora use fixed seeds, so results are
-reproducible byte for byte.
+traces for the targeted programs, the brute-force ``OracleQueue`` for
+queue order and for the paper's ``MarkerList`` (both from
+``tests/refqueues.py``), a reparse oracle for printing, and differential
+runs for the dead-post analysis.  Randomized corpora use fixed seeds, so
+results are reproducible byte for byte.
 """
 
 import functools
@@ -21,8 +22,6 @@ from priopost import (
     Finished,
     IntLit,
     Interpreter,
-    MarkerList,
-    OracleQueue,
     Priority,
     dead_posts,
     parse_program,
@@ -34,6 +33,7 @@ from priopost import (
 
 from deadstrip import strip_dead_posts
 from progen import gen_programs
+from refqueues import MarkerList, OracleQueue
 
 
 def criterion(cid: str, title: str):

@@ -12,10 +12,15 @@ import random
 
 from priopost import (
     AssignGlobal,
+    Binary,
     Finished,
     IntLit,
     Priority,
+    Provided,
+    Run,
     Seq,
+    Synch,
+    While,
     build_post_graph,
     dead_posts,
     find_effect_free,
@@ -24,6 +29,7 @@ from priopost import (
     run_program,
     validate_scopes,
 )
+from priopost.syntax import walk
 
 from deadstrip import strip_dead_posts
 from progen import gen_graph_source, gen_program, gen_programs
@@ -262,8 +268,6 @@ def test_adding_a_global_assign_never_grows_effect_free():
 def test_fixpoint_matches_reachability_reference():
     # Reference: m is effect-free iff every method reachable from m is
     # quiet and the reachable subgraph contains no run/post cycle.
-    from priopost.syntax import Binary, Provided, Run, Synch, While, walk
-
     def is_quiet(m):
         return not any(isinstance(n, (AssignGlobal, Provided, While))
                        or isinstance(n, Binary) and n.op in ("/", "%")

@@ -284,6 +284,20 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert (proc.wait(timeout=60), stderr) == (2, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("run", PROGRAMS / "priority_order.ap"),
+                                  ("parse", "--emit-ast", PROGRAMS / "priority_order.ap")],
+                         ids=["run", "parse-emit-ast"])
+def test_full_stdout_exits_2_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "priopost.cli", *map(str, argv)],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: cannot write stdout: ")
+
+
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
     # A 1,500-method synch chain: an analysis that recurses along the
     # chain from a start picked in set order fails for some hash seeds.
@@ -352,4 +366,9 @@ def test_calls_in_one_process_share_no_state(tmp_path, capsys, command, flags):
 def test_readme_lists_every_exported_name():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n")[1].split("\n## ")[0]
-    assert [name for name in priopost.__all__ if f"`{name}`" not in library] == []
+    bullets = re.findall(r"^\* ([\w -]+): (.*?)[;.]$", library, re.M | re.S)
+    assert [label for label, _ in bullets] == [
+        "syntax", "interpreter", "post queues", "dead-post analysis"]
+    listed = [name for _, text in bullets for name in re.findall(r"`(\w+)`", text)]
+    assert [name for name in priopost.__all__ if name not in listed] == []
+    assert [name for name in listed if name not in priopost.__all__] == []

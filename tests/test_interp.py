@@ -28,9 +28,7 @@ from priopost import (
     If,
     IntLit,
     Interpreter,
-    MarkerList,
     Method,
-    OracleQueue,
     ParseError,
     Priority,
     Program,
@@ -56,6 +54,7 @@ from priopost.interp import (
 )
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
+from refqueues import MarkerList, OracleQueue
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

@@ -3,7 +3,8 @@
 The queue's whole contract is "stable sort by (priority rank, post seq)".
 Hand-written cases pin down the production deque queue (``AsynchList``)
 and the paper's region/marker mechanics (``MarkerList``); randomized op
-sequences cross-check both against the brute-force OracleQueue.
+sequences cross-check both against the brute-force ``OracleQueue``.
+The two references live in ``tests/refqueues.py``, not in the package.
 """
 
 import random
@@ -16,10 +17,10 @@ from priopost import (
     AsynchNode,
     EmptyListError,
     IntLit,
-    MarkerList,
-    OracleQueue,
     Priority,
 )
+
+from refqueues import MarkerList, OracleQueue
 
 
 _seq_counter = 0
