@@ -11,9 +11,7 @@ from .analysis import (
     DeadPost,
     PostEdge,
     PostGraph,
-    build_post_graph,
     dead_posts,
-    find_effect_free,
 )
 from .interp import (
     DEFAULT_BUDGET,
@@ -55,8 +53,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "AnalysisReport", "DeadPost", "PostEdge", "PostGraph",
-    "build_post_graph", "dead_posts", "find_effect_free",
+    "AnalysisReport", "DeadPost", "PostEdge", "PostGraph", "dead_posts",
     "DEFAULT_BUDGET", "Failed", "Finished", "Interpreter", "Outcome",
     "TraceEvent", "run_program", "trace_to_jsonl",
     "AsynchList", "AsynchNode", "EmptyListError",

@@ -106,9 +106,19 @@ def expr_can_fault(expr: Expr) -> bool:
     return any(_divides(e) for e in walk(expr))
 
 
-def _survey(program: Program):
-    """Walk each method body once.  Returns the run/post graph, the
-    effect-free names (see ``find_effect_free``) and the synch statements."""
+def dead_posts(program: Program) -> AnalysisReport:
+    """Flag every synch of an effect-free method with a fault-free argument.
+
+    The report's ``graph`` holds every syntactic run/synch edge, reachable
+    or not, and its ``effect_free`` the largest set of methods whose
+    execution is unobservable.  That set is a worklist least fixpoint over
+    the graph: a quiet method joins once every method it runs or posts has
+    joined, so a method that reaches a cycle, a disqualified method or an
+    undeclared one never does.  Each edge is counted down once, with no
+    recursion, and the result does not depend on the order sets iterate
+    in.  A name declared twice (a scope error) is quiet when any
+    declaration is, and its last declaration gives its calls.
+    """
     edges, targets, quiet, synchs = [], {}, set(), []
     for m in program.methods:
         first = len(edges)
@@ -140,32 +150,6 @@ def _survey(program: Program):
             waiting[caller] -= 1
             if waiting[caller] == 0:
                 ready.append(caller)
-    return PostGraph([m.name for m in program.methods], edges), free, synchs
-
-
-def build_post_graph(program: Program) -> PostGraph:
-    """Enumerate every syntactic run/synch edge, reachable or not."""
-    return _survey(program)[0]
-
-
-def find_effect_free(program: Program) -> set[str]:
-    """The largest set of methods whose execution is unobservable.
-
-    A worklist least fixpoint over the run/post graph: a quiet method
-    joins once every method it runs or posts has joined, so a method
-    that reaches a cycle, a disqualified method or an undeclared one
-    never does.  Each edge is counted down once, with no recursion, and
-    the result does not depend on the order sets iterate in.  A name
-    declared twice (a scope error) is quiet when any declaration is, and
-    its last declaration gives its calls.
-    """
-    return _survey(program)[1]
-
-
-def dead_posts(program: Program) -> AnalysisReport:
-    """Flag every synch of an effect-free method with a fault-free argument."""
-    graph, free, synchs = _survey(program)
     flagged = [DeadPost(s.method, s.line, s.col) for s in synchs
                if s.method in free and not expr_can_fault(s.arg)]
-    return AnalysisReport(free, flagged, graph)
-
+    return AnalysisReport(free, flagged, PostGraph([m.name for m in program.methods], edges))

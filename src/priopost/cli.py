@@ -73,7 +73,7 @@ def cmd_run(program: Program, budget: int = DEFAULT_BUDGET, trace_path: str | No
     if dump_final_store:
         print(json.dumps({
             "global": interp.store.global_value,
-            "locals": {m.name: interp.store.locals[m.name] for m in program.methods},
+            "locals": interp.store.locals,
         }))
     return 0
 
@@ -93,7 +93,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+# argparse keeps no state between parse_args calls and looks up sys.stdout
+# and sys.stderr only when it prints, so one parser serves every main call.
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="priopost",
         description="Parse, run, or analyze a prioritized-posting program.",
@@ -119,11 +122,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse keeps no state between parse_args calls and looks up sys.stdout
-# and sys.stderr only when it prints, so one parser serves every main call.
-_arg_parser = functools.cache(build_arg_parser)
-
-
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
     program = _load_program(args.file)
@@ -142,11 +140,14 @@ def entry():
         code = main()
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
     except OSError as err:
-        # stdout cannot be written: exit with the code of an unwritable trace
-        # file, quietly if the reader went away, and point stdout at devnull
-        # so the exit flush succeeds.
+        # stdout or stderr cannot be written: exit with the code of an
+        # unwritable trace file, quietly if the reader went away, and point
+        # stdout at devnull so the exit flush succeeds.
         if not isinstance(err, BrokenPipeError):
-            print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+            try:
+                print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+            except OSError:
+                pass
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     raise SystemExit(code)

@@ -343,23 +343,19 @@ class _Parser:
         self._expect("global")
         self.global_name = self._expect_ident("global variable name")
         self._expect(";")
-        methods = [self._method()]
-        while self.texts[self.pos] == "meth":
-            methods.append(self._method())
-        if self.texts[self.pos]:
-            self._error("expected 'meth'", expected=("meth",))
-        return self._placed(Program(self.global_name, methods), 0)
-
-    def _method(self) -> Method:
-        start = self.pos
-        if self.texts[start] != "meth":
-            self._error("expected 'meth'", expected=("meth",))
-        self.pos += 1
-        name = self._expect_ident("method name")
-        self._expect("(")
-        local = self._expect_ident("local variable name")
-        self._expect(")")
-        return self._placed(Method(name, local, self._block(0)), start)
+        methods = []
+        while True:
+            start = self.pos
+            if self.texts[start] != "meth":
+                self._error("expected 'meth'", expected=("meth",))
+            self.pos += 1
+            name = self._expect_ident("method name")
+            self._expect("(")
+            local = self._expect_ident("local variable name")
+            self._expect(")")
+            methods.append(self._placed(Method(name, local, self._block(0)), start))
+            if not self.texts[self.pos]:
+                return self._placed(Program(self.global_name, methods), 0)
 
     def _block(self, depth: int) -> Seq:
         """A block at ``depth``, with its statements parsed in place (the

@@ -21,9 +21,7 @@ from priopost import (
     Seq,
     Synch,
     While,
-    build_post_graph,
     dead_posts,
-    find_effect_free,
     parse_program,
     pretty_print,
     run_program,
@@ -55,22 +53,22 @@ meth main(x) { synch(work(5), high); synch(log(0), low); }
 
 def test_local_increment_is_effect_free():
     p = prog("global g; meth log(x) { x := x + 1; }")
-    assert find_effect_free(p) == {"log"}
+    assert dead_posts(p).effect_free == {"log"}
 
 
 def test_global_assign_is_an_effect():
     p = prog("global g; meth w(x) { g := x; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_posting_an_effectful_method_is_an_effect():
     p = prog("global g; meth a(x) { synch(b(0), low); } meth b(y) { g := y; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_running_an_effectful_method_is_an_effect():
     p = prog("global g; meth a(x) { run b(0); } meth b(y) { g := y; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_chain_of_quiet_methods_is_effect_free():
@@ -80,35 +78,35 @@ def test_chain_of_quiet_methods_is_effect_free():
     meth b(x) { run c(x + 1); }
     meth c(x) { x := x - 1; }
     """)
-    assert find_effect_free(p) == {"a", "b", "c"}
+    assert dead_posts(p).effect_free == {"a", "b", "c"}
 
 
 def test_provided_disqualifies():
     p = prog("global g; meth a(x) { provided x; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_while_disqualifies():
     p = prog("global g; meth a(x) { while x { x := x - 1; } }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_division_in_body_disqualifies():
     p = prog("global g; meth a(x) { x := 1 / x; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
     p = prog("global g; meth a(x) { x := x % 2; }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_division_in_condition_disqualifies():
     p = prog("global g; meth a(x) { if 1 / x { } else { } }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_self_post_cycle_is_not_effect_free():
     # An effect-free repost loop would spin until the budget dies.
     p = prog("global g; meth a(x) { synch(a(x), high); }")
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_two_method_post_cycle_is_not_effect_free():
@@ -117,7 +115,7 @@ def test_two_method_post_cycle_is_not_effect_free():
     meth a(x) { synch(b(x), low); }
     meth b(x) { synch(a(x), low); }
     """)
-    assert find_effect_free(p) == set()
+    assert dead_posts(p).effect_free == set()
 
 
 def test_method_reaching_a_cycle_is_pruned():
@@ -127,7 +125,7 @@ def test_method_reaching_a_cycle_is_pruned():
     meth a(x) { synch(a(x), medium); }
     meth leaf(x) { x := 0; }
     """)
-    assert find_effect_free(p) == {"leaf"}
+    assert dead_posts(p).effect_free == {"leaf"}
 
 
 # ------------------------------------------------------------- post graph
@@ -138,7 +136,7 @@ def test_graph_lists_every_syntactic_edge():
     meth a(x) { synch(b(1), high); synch(b(2), low); run b(3); }
     meth b(y) { }
     """)
-    graph = build_post_graph(p)
+    graph = dead_posts(p).graph
     assert graph.vertices == ["a", "b"]
     assert [(e.src, e.dst, e.kind, e.priority) for e in graph.edges] == [
         ("a", "b", "post", Priority.HIGH),
@@ -149,13 +147,13 @@ def test_graph_lists_every_syntactic_edge():
 
 def test_graph_self_loop():
     p = prog("global g; meth a(x) { synch(a(x), low); }")
-    [edge] = build_post_graph(p).edges
+    [edge] = dead_posts(p).graph.edges
     assert (edge.src, edge.dst) == ("a", "a")
 
 
 def test_graph_without_calls_is_edgeless():
     p = prog("global g; meth a(x) { g := 1; } meth b(y) { }")
-    graph = build_post_graph(p)
+    graph = dead_posts(p).graph
     assert graph.vertices == ["a", "b"]
     assert graph.edges == []
 
@@ -253,14 +251,14 @@ def test_adding_a_global_assign_never_grows_effect_free():
     rng = random.Random(404)
     for _ in range(60):
         p = gen_program(rng)
-        base = find_effect_free(p)
+        base = dead_posts(p).effect_free
         idx = rng.randrange(len(p.methods))
         m = p.methods[idx]
         poisoned = dataclasses.replace(
             m, body=Seq([AssignGlobal("g", IntLit(0))] + list(m.body.stmts)))
         q = dataclasses.replace(
             p, methods=p.methods[:idx] + [poisoned] + p.methods[idx + 1:])
-        grown = find_effect_free(q)
+        grown = dead_posts(q).effect_free
         assert grown <= base
         assert m.name not in grown
 
@@ -322,4 +320,4 @@ def test_fixpoint_matches_reachability_reference():
     programs = [prog(s) for s in cyclic_sources]
     programs += gen_programs(seed=77, count=150)
     for p in programs:
-        assert find_effect_free(p) == reference(p), pretty_print(p)
+        assert dead_posts(p).effect_free == reference(p), pretty_print(p)

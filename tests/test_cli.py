@@ -298,6 +298,24 @@ def test_full_stdout_exits_2_without_a_traceback(argv):
     assert result.stderr.startswith("error: cannot write stdout: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout_full", [
+    (("run", "{bad}"), False),
+    (("run", "{missing}"), False),
+    (("run", PROGRAMS / "priority_order.ap", "--trace", "{missing}/t.jsonl"), False),
+    (("run", PROGRAMS / "priority_order.ap"), True),
+], ids=["parse-error", "missing-file", "trace-dir-missing", "stdout-full-too"])
+def test_full_stderr_exits_2(tmp_path, argv, stdout_full):
+    bad = tmp_path / "bad.ap"
+    bad.write_text("global g; meth m(x) { g := ; }")
+    argv = [str(a).format(bad=bad, missing=tmp_path / "missing") for a in argv]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "priopost.cli", *argv],
+            stdout=full if stdout_full else subprocess.PIPE, stderr=full, text=True)
+    assert result.returncode == 2
+
+
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
     # A 1,500-method synch chain: an analysis that recurses along the
     # chain from a start picked in set order fails for some hash seeds.

@@ -185,6 +185,24 @@ def test_parse_requires_at_least_one_method():
     assert "meth" in info.value.message
 
 
+# A program has one or more methods, each opened by `meth` and a method
+# name; anything else where a method may start is `expected 'meth'`.
+@pytest.mark.parametrize("source, error, expected", [
+    ("global g;", "1:10 expected 'meth'", ("meth",)),
+    ("global g; x", "1:11 expected 'meth'", ("meth",)),
+    ("global g; meth m(x) { } x", "1:25 expected 'meth'", ("meth",)),
+    ("global g; meth m(x) { } }", "1:25 expected 'meth'", ("meth",)),
+    ("global g;\n// c", "2:1 expected 'meth'", ("meth",)),
+    ("global g; meth m(x) { } meth", "1:29 expected method name", ("identifier",)),
+], ids=["no-method", "junk-first", "junk-after", "brace-after", "comment-only",
+        "meth-at-end"])
+def test_method_rule_errors(source, error, expected):
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert str(info.value) == error
+    assert info.value.expected == expected
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse_program("global g;\nmeth m(x) {\n  g := ;\n}")
