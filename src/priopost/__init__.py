@@ -46,6 +46,7 @@ from .syntax import (
     Var,
     While,
     ast_to_dict,
+    ast_to_json,
     format_expr,
     parse_program,
     pretty_print,
@@ -60,7 +61,7 @@ __all__ = [
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",
     "Run", "ScopeError", "Seq", "Stmt", "Synch", "Unary", "Var", "While",
-    "ast_to_dict", "format_expr", "parse_program", "pretty_print",
+    "ast_to_dict", "ast_to_json", "format_expr", "parse_program", "pretty_print",
     "validate_scopes",
 ]
 

@@ -15,7 +15,8 @@ import sys
 
 from .analysis import dead_posts
 from .interp import DEFAULT_BUDGET, Failed, Interpreter, trace_to_jsonl
-from .syntax import ParseError, Program, ast_to_dict, parse_program, pretty_print, validate_scopes
+from .syntax import ParseError, Program, ast_to_json, parse_program, pretty_print, validate_scopes
+from .syntax import ast_to_dict  # noqa: F401  (bench/spans.py's Tracer wraps it by this name)
 
 
 def _load_program(path: str) -> Program | None:
@@ -44,9 +45,7 @@ def _load_program(path: str) -> Program | None:
 
 def cmd_parse(program: Program, emit_ast: bool = False) -> int:
     if emit_ast:
-        # ast_to_dict builds a fresh tree with no shared parts, so the
-        # cycle check would only cost time.
-        print(json.dumps(ast_to_dict(program), check_circular=False))
+        print(ast_to_json(program))
     else:
         sys.stdout.write(pretty_print(program))
     return 0

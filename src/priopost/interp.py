@@ -31,7 +31,6 @@ Other load-bearing choices, all observable in the trace:
 
 from __future__ import annotations
 
-import json
 import operator
 import sys
 import threading
@@ -57,6 +56,7 @@ from .syntax import (
     Unary,
     Var,
     While,
+    _json_scalar,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -508,11 +508,18 @@ def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
 def trace_to_jsonl(outcome: Outcome) -> str:
     """Serialize a trace as JSON lines; byte-stable for equal outcomes.
 
-    Each event is one object with fields drawn from {seq, kind, method,
-    value, priority}, absent fields omitted.  A finished run ends with
-    ``{"kind": "finished", "global": <final value>}``.
+    Each event is one line, the text of ``json.dumps(ev.to_json_obj())``:
+    fields drawn from {seq, kind, method, value, priority}, absent fields
+    omitted.  A finished run ends with ``{"kind": "finished", "global":
+    <final value>}``.
     """
-    lines = [json.dumps(ev.to_json_obj()) for ev in outcome.trace]
+    lines = []
+    for ev in outcome.trace:
+        method = "" if ev.method is None else ', "method": ' + _json_scalar(ev.method)
+        value = "" if ev.value is None else ', "value": ' + _json_scalar(ev.value)
+        prio = "" if ev.priority is None else ', "priority": ' + _json_scalar(ev.priority.keyword)
+        lines.append(f'{{"seq": {_json_scalar(ev.seq)}, "kind": {_json_scalar(ev.kind)}'
+                     f'{method}{value}{prio}}}\n')
     if isinstance(outcome, Finished):
-        lines.append(json.dumps({"kind": "finished", "global": outcome.global_value}))
-    return "".join(line + "\n" for line in lines)
+        lines.append(f'{{"kind": "finished", "global": {_json_scalar(outcome.global_value)}}}\n')
+    return "".join(lines)

@@ -45,6 +45,7 @@ operator), bisected from the line starts as the node is built.
 from __future__ import annotations
 
 import enum
+import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -549,61 +550,54 @@ def validate_scopes(program: Program) -> list[ScopeError]:
     return errors
 
 
-# --- Pretty printer ------------------------------------------------------
+# --- Printers: exact node types only, a subclass is a TypeError ----------
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
     """Render an expression with the minimum parentheses that reparse equal."""
-    match e:
-        case IntLit(value):
-            return str(value)
-        case Var(name):
-            return name
-        case Unary(op, operand):
-            text = op + format_expr(operand, _UNARY_PREC)
-            return f"({text})" if _UNARY_PREC < parent_prec else text
-        case Binary(op, left, right):
-            prec = _PREC[op]
-            sep = f" {op} "
-            text = format_expr(left, prec) + sep + format_expr(right, prec + 1)
-            return f"({text})" if prec < parent_prec else text
+    kind = type(e)
+    if kind is Binary:
+        prec = _PREC[e.op]
+        text = f"{format_expr(e.left, prec)} {e.op} {format_expr(e.right, prec + 1)}"
+        return f"({text})" if prec < parent_prec else text
+    if kind is Var:
+        return e.name
+    if kind is IntLit:
+        return str(e.value)
+    if kind is Unary:
+        text = e.op + format_expr(e.operand, _UNARY_PREC)
+        return f"({text})" if _UNARY_PREC < parent_prec else text
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _format_block(s: Stmt, indent: int, out: list[str]):
-    if not isinstance(s, Seq):
-        raise TypeError(f"not a block: {s!r}")
-    pad = "    " * indent
+def _format_block(block: Seq, pad: str, out: list[str]):
+    """Append ``block``, whose closing brace is indented by ``pad``."""
+    if type(block) is not Seq:
+        raise TypeError(f"not a block: {block!r}")
+    inner = pad + "    "
     out.append("{")
-    for sub in s.stmts:
-        out.append("\n" + pad + "    ")
-        _format_stmt(sub, indent + 1, out)
-    if s.stmts:
-        out.append("\n" + pad)
-    out.append("}")
-
-
-def _format_stmt(s: Stmt, indent: int, out: list[str]):
-    match s:
-        case AssignGlobal(name, expr) | AssignLocal(name, expr):
-            out.append(f"{name} := {format_expr(expr)};")
-        case Provided(expr):
-            out.append(f"provided {format_expr(expr)};")
-        case If(cond, then, orelse):
-            out.append(f"if {format_expr(cond)} ")
-            _format_block(then, indent, out)
+    for s in block.stmts:
+        kind = type(s)
+        if kind is AssignGlobal or kind is AssignLocal:
+            out.append(f"\n{inner}{s.name} := {format_expr(s.expr)};")
+        elif kind is If:
+            out.append(f"\n{inner}if {format_expr(s.cond)} ")
+            _format_block(s.then, inner, out)
             out.append(" else ")
-            _format_block(orelse, indent, out)
-        case While(cond, body):
-            out.append(f"while {format_expr(cond)} ")
-            _format_block(body, indent, out)
-        case Run(method, arg):
-            out.append(f"run {method}({format_expr(arg)});")
-        case Return():
-            out.append("return();")
-        case Synch(method, arg, priority):
-            out.append(f"synch({method}({format_expr(arg)}), {priority.keyword});")
-        case _:
+            _format_block(s.orelse, inner, out)
+        elif kind is Synch:
+            out.append(f"\n{inner}synch({s.method}({format_expr(s.arg)}), {s.priority.keyword});")
+        elif kind is Run:
+            out.append(f"\n{inner}run {s.method}({format_expr(s.arg)});")
+        elif kind is Provided:
+            out.append(f"\n{inner}provided {format_expr(s.expr)};")
+        elif kind is While:
+            out.append(f"\n{inner}while {format_expr(s.cond)} ")
+            _format_block(s.body, inner, out)
+        elif kind is Return:
+            out.append(f"\n{inner}return();")
+        else:
             raise TypeError(f"not a statement: {s!r}")
+    out.append(f"\n{pad}}}" if block.stmts else "}")
 
 
 def pretty_print(program: Program) -> str:
@@ -613,44 +607,76 @@ def pretty_print(program: Program) -> str:
     ``if`` or ``while`` branch that is not a ``Seq``, a foreign node)
     raises ``TypeError``.
     """
+    if type(program) is not Program:
+        raise TypeError(f"not a program: {program!r}")
     out = [f"global {program.global_name};\n"]
     for m in program.methods:
+        if type(m) is not Method:
+            raise TypeError(f"not a method: {m!r}")
         out.append(f"\nmeth {m.name}({m.local}) ")
-        _format_block(m.body, 0, out)
+        _format_block(m.body, "", out)
         out.append("\n")
     return "".join(out)
 
 
-# --- JSON form (used by the CLI's --emit-ast) ----------------------------
+# --- JSON form (the CLI's --emit-ast) ------------------------------------
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``, without the call for an int, or for a string
+    it would not escape: printable ASCII without ``"`` or ``\\``, as every
+    parsed name and operator and every trace event kind is."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str and value.isascii() and value.isprintable() and '"' not in value \
+            and "\\" not in value:
+        return f'"{value}"'
+    return json.dumps(value)
+
+
+def ast_to_json(node) -> str:
+    """The AST as one line of JSON without positions, exactly the text of
+    ``json.dumps(ast_to_dict(node))``; anything but an exact node type is a ``TypeError``."""
+    kind = type(node)
+    if kind is Binary:
+        return (f'{{"kind": "binary", "op": {_json_scalar(node.op)}, '
+                f'"left": {ast_to_json(node.left)}, "right": {ast_to_json(node.right)}}}')
+    if kind is Var:
+        return f'{{"kind": "var", "name": {_json_scalar(node.name)}}}'
+    if kind is IntLit:
+        return f'{{"kind": "int", "value": {_json_scalar(node.value)}}}'
+    if kind is Unary:
+        return (f'{{"kind": "unary", "op": {_json_scalar(node.op)}, '
+                f'"operand": {ast_to_json(node.operand)}}}')
+    if kind is AssignGlobal or kind is AssignLocal:
+        return (f'{{"kind": "assign-{"global" if kind is AssignGlobal else "local"}", '
+                f'"name": {_json_scalar(node.name)}, "expr": {ast_to_json(node.expr)}}}')
+    if kind is Seq:
+        return f'{{"kind": "seq", "stmts": [{", ".join(map(ast_to_json, node.stmts))}]}}'
+    if kind is If:
+        return (f'{{"kind": "if", "cond": {ast_to_json(node.cond)}, '
+                f'"then": {ast_to_json(node.then)}, "else": {ast_to_json(node.orelse)}}}')
+    if kind is Synch:
+        return (f'{{"kind": "synch", "method": {_json_scalar(node.method)}, "arg": '
+                f'{ast_to_json(node.arg)}, "priority": {_json_scalar(node.priority.keyword)}}}')
+    if kind is Run:
+        return (f'{{"kind": "run", "method": {_json_scalar(node.method)}, '
+                f'"arg": {ast_to_json(node.arg)}}}')
+    if kind is Provided:
+        return f'{{"kind": "provided", "expr": {ast_to_json(node.expr)}}}'
+    if kind is While:
+        return (f'{{"kind": "while", "cond": {ast_to_json(node.cond)}, '
+                f'"body": {ast_to_json(node.body)}}}')
+    if kind is Return:
+        return '{"kind": "return"}'
+    if kind is Method:
+        return (f'{{"kind": "method", "name": {_json_scalar(node.name)}, '
+                f'"local": {_json_scalar(node.local)}, "body": {ast_to_json(node.body)}}}')
+    if kind is Program:
+        return (f'{{"kind": "program", "global": {_json_scalar(node.global_name)}, '
+                f'"methods": [{", ".join(map(ast_to_json, node.methods))}]}}')
+    raise TypeError(f"not an AST node: {node!r}")
+
 
 def ast_to_dict(node) -> dict:
-    """Position-free dict rendering of an AST, stable for serialization;
-    anything but an exact node type, a subclass included, is a ``TypeError``."""
-    to_dict = _TO_DICT.get(type(node))
-    if to_dict is None:
-        raise TypeError(f"not an AST node: {node!r}")
-    return to_dict(node)
-
-
-_TO_DICT = {
-    Program: lambda n: {"kind": "program", "global": n.global_name,
-                        "methods": [ast_to_dict(m) for m in n.methods]},
-    Method: lambda n: {"kind": "method", "name": n.name, "local": n.local,
-                       "body": ast_to_dict(n.body)},
-    Seq: lambda n: {"kind": "seq", "stmts": [ast_to_dict(s) for s in n.stmts]},
-    AssignGlobal: lambda n: {"kind": "assign-global", "name": n.name, "expr": ast_to_dict(n.expr)},
-    AssignLocal: lambda n: {"kind": "assign-local", "name": n.name, "expr": ast_to_dict(n.expr)},
-    Provided: lambda n: {"kind": "provided", "expr": ast_to_dict(n.expr)},
-    If: lambda n: {"kind": "if", "cond": ast_to_dict(n.cond),
-                   "then": ast_to_dict(n.then), "else": ast_to_dict(n.orelse)},
-    While: lambda n: {"kind": "while", "cond": ast_to_dict(n.cond), "body": ast_to_dict(n.body)},
-    Run: lambda n: {"kind": "run", "method": n.method, "arg": ast_to_dict(n.arg)},
-    Return: lambda n: {"kind": "return"},
-    Synch: lambda n: {"kind": "synch", "method": n.method, "arg": ast_to_dict(n.arg),
-                      "priority": n.priority.keyword},
-    IntLit: lambda n: {"kind": "int", "value": n.value},
-    Var: lambda n: {"kind": "var", "name": n.name},
-    Unary: lambda n: {"kind": "unary", "op": n.op, "operand": ast_to_dict(n.operand)},
-    Binary: lambda n: {"kind": "binary", "op": n.op,
-                       "left": ast_to_dict(n.left), "right": ast_to_dict(n.right)},
-}
+    """``ast_to_json``'s JSON form as Python data."""
+    return json.loads(ast_to_json(node))

@@ -266,3 +266,63 @@ def gen_graph_source(rng: random.Random, duplicates: bool = False) -> str:
                 stmts = [f"if x {{ {' '.join(stmts)} }} else {{ }}"]
         out.append(f"meth {name}(x) {{ {' '.join(stmts)} }}")
     return "\n".join(out) + "\n"
+
+
+# -------------------------------------------------------------- large sources
+
+_LARGE_OPS = ("+", "-", "*", "/", "%", "<", "<=", "==", "!=", ">=", "and", "or")
+
+
+def gen_large_source(rng: random.Random, methods: int = 90) -> str:
+    """Source text of ``methods`` methods, shaped like the benchmark's
+    front-end inputs: every body guarded by ``if`` on its local, nested
+    ``if``s, posts and runs of later methods, ``while``, ``provided``
+    and parenthesised operator chains with unary operators.  The program
+    is scope-valid; it is meant to be parsed and printed, not run.
+    """
+    names = [f"n{i:03d}" for i in range(methods)]
+
+    def expr(local: str, depth: int) -> str:
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            return rng.choice((local, "g", str(rng.randint(0, 999))))
+        if r < 0.38:
+            return rng.choice(("-", "!")) + expr(local, depth - 1)
+        op = rng.choice(_LARGE_OPS)
+        return f"({expr(local, depth - 1)} {op} {expr(local, depth - 1)})"
+
+    def block(i: int, local: str, pad: str, count: int, depth: int) -> list[str]:
+        lines = []
+        for _ in range(count):
+            r = rng.random()
+            if r < 0.25 and depth < 2:
+                lines.append(f"{pad}if {expr(local, 2)} {{")
+                lines += block(i, local, pad + "    ", rng.randint(1, 2), depth + 1)
+                lines.append(f"{pad}}} else {{")
+                lines += block(i, local, pad + "    ", rng.randint(0, 1), depth + 1)
+                lines.append(f"{pad}}}")
+            elif r < 0.5 and i + 1 < methods:
+                target, arg = rng.choice(names[i + 1:]), expr(local, 2)
+                prio = rng.choice(_PRIORITIES).keyword
+                lines.append(rng.choice((f"{pad}synch({target}({arg}), {prio});",
+                                         f"{pad}run {target}({arg});")))
+            elif r < 0.6:
+                lines.append(f"{pad}g := {expr(local, 3)};")
+            elif r < 0.65:
+                lines += [f"{pad}while {local} > 100 {{",
+                          f"{pad}    {local} := {local} - {rng.randint(1, 9)};", f"{pad}}}"]
+            elif r < 0.7:
+                lines.append(f"{pad}provided {expr(local, 2)};")
+            elif r < 0.72:
+                lines.append(f"{pad}return();")
+            else:
+                lines.append(f"{pad}{local} := {expr(local, 3)};")
+        return lines
+
+    out = ["// A large generated source: guarded bodies, acyclic posts.", "global g;"]
+    for i, name in enumerate(names):
+        local = rng.choice(("x", "v", "arg", "k"))
+        body = block(i, local, "        ", rng.randint(2, 4), 0)
+        out += ["", f"meth {name}({local}) {{", f"    if {local} {{", *body,
+                "    } else {", "    }", "}"]
+    return "\n".join(out) + "\n"

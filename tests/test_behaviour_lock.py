@@ -48,7 +48,7 @@ from priopost import (
     Failed,
     Interpreter,
     ParseError,
-    ast_to_dict,
+    ast_to_json,
     dead_posts,
     parse_program,
     pretty_print,
@@ -121,7 +121,7 @@ def corpus_digests() -> dict[str, str]:
 
 def parse_summary(text: str) -> str:
     try:
-        return json.dumps(ast_to_dict(parse_program(text))) + "\n"
+        return ast_to_json(parse_program(text)) + "\n"
     except ParseError as err:
         return f"error {err.line}:{err.col} {err.message} {list(err.expected)}\n"
 

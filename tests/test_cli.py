@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import priopost
-from priopost import ast_to_dict, parse_program, pretty_print, run_program, trace_to_jsonl
+from priopost import (
+    ast_to_dict, ast_to_json, parse_program, pretty_print, run_program, trace_to_jsonl,
+)
 from priopost.cli import main
 
 from test_syntax import DEEP_PROBES
@@ -187,6 +189,12 @@ def test_parse_emit_ast_round_trips(capsys):
     assert run_cli("parse", path, "--emit-ast") == 0
     data = json.loads(capsys.readouterr().out)
     assert data == ast_to_dict(parse_program(path.read_text()))
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ap")), ids=lambda p: p.name)
+def test_parse_emit_ast_prints_ast_to_json(path, capsys):
+    assert run_cli("parse", path, "--emit-ast") == 0
+    assert capsys.readouterr().out == ast_to_json(parse_program(path.read_text())) + "\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -663,6 +663,29 @@ def test_jsonl_omits_absent_fields_and_ends_with_finished():
     assert all("priority" not in o for o in objs[:-1])
 
 
+def reference_jsonl(outcome) -> str:
+    """trace_to_jsonl's format, stated with json.dumps over to_json_obj."""
+    lines = [json.dumps(ev.to_json_obj()) for ev in outcome.trace]
+    if isinstance(outcome, Finished):
+        lines.append(json.dumps({"kind": "finished", "global": outcome.global_value}))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_jsonl_matches_json_dumps_of_each_event():
+    for prog in gen_programs(seed=1414, count=200):
+        for budget in (DEFAULT_BUDGET, 25):
+            out = Interpreter(prog, budget=budget).run()
+            assert trace_to_jsonl(out) == reference_jsonl(out)
+
+
+@pytest.mark.parametrize("name", ["é", 'a"b', "a\\b", "\n", "", "run-call"], ids=repr)
+def test_jsonl_escapes_hand_built_events(name):
+    events = [TraceEvent(1, name), TraceEvent(2, "post", name, 3, Priority.HIGH),
+              TraceEvent(3, "dispatch", name, True), TraceEvent(4, "return", None, 2**70)]
+    for outcome in (Finished(-1, events), Failed("error", 1, 1, events)):
+        assert trace_to_jsonl(outcome) == reference_jsonl(outcome)
+
+
 def test_jsonl_failed_run_has_no_finished_line():
     out = run_src("global g; meth m(x) { provided 0; }")
     objs = [json.loads(line) for line in trace_to_jsonl(out).splitlines()]

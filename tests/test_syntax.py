@@ -34,6 +34,7 @@ from priopost import (
     Var,
     While,
     ast_to_dict,
+    ast_to_json,
     dead_posts,
     format_expr,
     parse_program,
@@ -44,7 +45,8 @@ from priopost import (
 from priopost import syntax
 from priopost.syntax import I64_MAX, MAX_DEPTH, Node, Stmt, tokenize
 
-from progen import gen_programs
+from progen import gen_large_source, gen_programs
+from refjson import ref_to_dict
 
 
 MINIMAL = "global g; meth main(x) { g := 1; }"
@@ -373,6 +375,8 @@ def test_pretty_print_rejects_trees_the_grammar_cannot_express(stmt):
     program = Program("g", [Method("m", "x", Seq([stmt]))])
     with pytest.raises(TypeError):
         pretty_print(program)
+    # The JSON form states such trees as they are.
+    assert ast_to_json(program) == json.dumps(ref_to_dict(program))
 
 
 # --------------------------------------------------------------- positions
@@ -588,6 +592,7 @@ def test_program_at_the_depth_bound_is_usable(name):
     assert validate_scopes(program) == []
     assert parse_program(pretty_print(program)) == program
     json.dumps(ast_to_dict(program))
+    assert ast_to_json(program) == json.dumps(ref_to_dict(program))
     dead_posts(program)
     run_program(program)
 
@@ -677,3 +682,122 @@ class Subclassed(Binary):
 def test_ast_to_dict_rejects_foreign_nodes(node):
     with pytest.raises(TypeError):
         ast_to_dict(node)
+    with pytest.raises(TypeError):
+        ast_to_json(node)
+
+
+@pytest.mark.parametrize("node", [
+    Foreign(),
+    Subclassed("+", IntLit(1), IntLit(2)),
+    Binary("*", Subclassed("+", IntLit(1), IntLit(2)), IntLit(3)),
+], ids=["foreign-node", "subclass", "subclass-inside"])
+def test_printers_take_exact_node_types_only(node):
+    with pytest.raises(TypeError):
+        format_expr(node)
+    with pytest.raises(TypeError):
+        pretty_print(Program("g", [Method("m", "x", Seq([AssignGlobal("g", node)]))]))
+
+
+@dataclass
+class SubclassedProgram(Program):
+    pass
+
+
+@dataclass
+class SubclassedMethod(Method):
+    pass
+
+
+def test_pretty_print_takes_exact_program_and_method_types():
+    with pytest.raises(TypeError):
+        pretty_print(SubclassedProgram("g", [Method("m", "x", Seq([]))]))
+    with pytest.raises(TypeError):
+        pretty_print(Program("g", [SubclassedMethod("m", "x", Seq([]))]))
+
+
+# ------------------------------------------------------------- ast json
+#
+# ast_to_json writes its text directly; tests/refjson.py keeps the dict
+# renderer it replaced, and json.dumps of that is the reference.
+
+def assert_json_matches_reference(tree):
+    assert ast_to_json(tree) == json.dumps(ref_to_dict(tree))
+
+
+def test_ast_json_matches_reference_on_sample_programs():
+    paths = sorted(PROGRAMS.glob("*.ap"))
+    assert paths
+    for path in paths:
+        assert_json_matches_reference(parse_program(path.read_text(encoding="utf-8")))
+
+
+def test_ast_json_matches_reference_on_progen_corpus():
+    for prog in gen_programs(seed=77, count=300):
+        assert_json_matches_reference(prog)
+
+
+def test_ast_json_matches_reference_on_large_sources():
+    rng = random.Random(14)
+    for _ in range(20):
+        program = parse_program(gen_large_source(rng))
+        assert validate_scopes(program) == []
+        assert_json_matches_reference(program)
+
+
+EVERY_NODE_KIND = {
+    "int": IntLit(7),
+    "var": Var("x"),
+    "unary": Unary("-", Var("x")),
+    "binary": Binary("and", IntLit(1), Var("g")),
+    "seq": Seq([]),
+    "assign-global": AssignGlobal("g", IntLit(1)),
+    "assign-local": AssignLocal("x", IntLit(2)),
+    "provided": Provided(Var("x")),
+    "if": If(Var("x"), Seq([Return()]), Seq([])),
+    "while": While(Var("x"), Seq([AssignLocal("x", IntLit(0))])),
+    "run": Run("m", IntLit(3)),
+    "return": Return(),
+    "synch": Synch("m", Var("x"), Priority.MEDIUM),
+    "method": Method("m", "x", Seq([Return()])),
+    "program": Program("g", [Method("m", "x", Seq([])), Method("n", "y", Seq([]))]),
+}
+
+
+def test_every_node_kind_is_covered():
+    assert {type(node) for node in EVERY_NODE_KIND.values()} == set(NODE_FIELDS)
+
+
+@pytest.mark.parametrize("kind", EVERY_NODE_KIND)
+def test_ast_json_of_each_node_kind(kind):
+    node = EVERY_NODE_KIND[kind]
+    assert json.loads(ast_to_json(node))["kind"] == kind
+    assert_json_matches_reference(node)
+
+
+AWKWARD_NAMES = ["é", 'a"b', "a\\b", "\n", "", None]
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES, ids=repr)
+def test_ast_json_escapes_what_json_must(name):
+    trees = [
+        Var(name),
+        AssignLocal(name, IntLit(1)),
+        Synch(name, Var(name), Priority.LOW),
+        Run(name, Var(name)),
+        Program(name, [Method(name, name, Seq([AssignGlobal(name, Var(name))]))]),
+    ]
+    for tree in trees:
+        assert_json_matches_reference(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    IntLit(True),
+    IntLit(2**70),
+    IntLit(-5),
+    Binary("<>", IntLit(1), IntLit(2)),
+    Unary('"', IntLit(1)),
+    Binary(None, Var("x"), Var("y")),
+], ids=["bool", "big-int", "negative", "unknown-op", "quote-op", "none-op"])
+def test_ast_json_of_values_the_grammar_never_builds(tree):
+    assert_json_matches_reference(tree)
+
