@@ -92,7 +92,7 @@ class Store:
     locals: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     kind: str  # post | dispatch | run-call | return | method-start |
@@ -179,28 +179,30 @@ class Interpreter:
     ``[]`` and so does the outcome's, while the outcome, the store and
     ``step_count`` are the same as with ``trace=True``.
 
-    Code runs as closures, compiled lazily and kept on the interpreter,
-    never on the AST.  The block (``Seq``) is the unit of compilation
-    and of step accounting.  Each method body is a block closure made
-    with the interpreter, and each ``if`` branch and ``while`` body one
-    made when its statement is compiled.  A block compiles its own
-    statements and their expressions the first time it runs, so code
-    that never runs is never compiled.  The block takes the steps: one
-    on entry, then one before each statement, at that statement's
-    position.  Statement closures take none, except ``while``'s step at
-    each return to its test.  A statement calls its children's block
-    closures, so one level of statement nesting costs one Python frame.
-    A ``Var`` is resolved to the global or to its method's local cell
-    when compiled; an out-of-scope variable, like a ``run`` or ``synch``
-    to an undeclared method, raises ``ValueError`` only when it executes.
-    ``return()`` raises ``_Returned``, which unwinds the rest of the body
-    to the activation that is open: ``_activate`` or its copy inlined in
-    the ``run`` closure.  Only there is a frame popped and its ``return``
+    Code runs as closures, compiled lazily and never kept on the AST.
+    ``run`` makes them as it starts and drops them as it returns or
+    raises: they hold the interpreter, so a run leaves no cyclic garbage,
+    and a second ``run`` compiles afresh.  The block (``Seq``) is the unit
+    of compilation and of step accounting: each method body is one, and
+    each ``if`` branch and ``while`` body one made when its statement is
+    compiled.  A block compiles its own statements and their expressions
+    the first time it runs, so code that never runs is never compiled.
+    The block takes the steps: one on entry, then one before each
+    statement, at that statement's position.  Statement closures take
+    none, except ``while``'s step at each return to its test.  A
+    statement calls its children's block closures, so one level of
+    statement nesting costs one Python frame.  A ``Var`` is resolved to
+    the global or to its method's local cell when compiled; an
+    out-of-scope variable, like a ``run`` or ``synch`` to an undeclared
+    method, raises ``ValueError`` only when it executes.  ``return()``
+    raises ``_Returned``, which unwinds the rest of the body to the
+    activation that is open: ``_activate`` or its copy inlined in the
+    ``run`` closure.  Only there is a frame popped and its ``return``
     event emitted, so a body that runs off its end and one that returns
-    early close alike.  Like ``pretty_print``, compiling rejects trees
-    the grammar cannot express: a block as a statement raises
-    ``KeyError``, as any foreign statement does, and a branch or body
-    that is not a ``Seq`` raises ``TypeError``.
+    early close alike.  Like ``pretty_print``, ``run`` (not the
+    constructor) rejects trees the grammar cannot express: a block as a
+    statement raises ``KeyError``, as any foreign statement does, and a
+    branch or body that is not a ``Seq`` raises ``TypeError``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -226,7 +228,7 @@ class Interpreter:
         self.trace: list[TraceEvent] = []
         self._tracing = trace
         self._post_seq = 0
-        self._bodies = {m.name: self._compile_block(m.body, m.name) for m in program.methods}
+        self._bodies = {}
 
     # -- bookkeeping --
 
@@ -455,6 +457,8 @@ class Interpreter:
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 2) * MAX_DEPTH)
             try:
+                self._bodies = {m.name: self._compile_block(m.body, m.name)
+                                for m in self.program.methods}
                 for method in self.program.methods:
                     self._tick(method)
                     if self._tracing:
@@ -478,6 +482,7 @@ class Interpreter:
                     self._emit(kind, active)
                 return Failed(failure.kind, failure.line, failure.col, self.trace)
             finally:
+                self._bodies.clear()  # so that reference counting frees the run
                 sys.setrecursionlimit(limit)
 
 

@@ -20,6 +20,7 @@ from priopost import (
 )
 from priopost.cli import main
 
+from test_interp import cyclic_garbage
 from test_syntax import DEEP_PROBES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -385,6 +386,28 @@ def test_calls_in_one_process_share_no_state(tmp_path, capsys, command, flags):
         assert first_alone[0] == 2
         assert first_alone[2].startswith("usage: priopost run")
         assert "budget must be at least 1" in first_alone[2]
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ("run", PROGRAMS / "snapshot.ap")),
+    (0, ("run", PROGRAMS / "snapshot.ap", "--trace", "{trace}")),
+    (1, ("run", PROGRAMS / "provided_zero.ap")),
+    (1, ("run", PROGRAMS / "provided_zero.ap", "--trace", "{trace}")),
+    (0, ("parse", PROGRAMS / "dead_logger.ap")),
+    (0, ("parse", PROGRAMS / "dead_logger.ap", "--emit-ast")),
+    (0, ("analyze", PROGRAMS / "dead_logger.ap")),
+    (2, ("run", "{parse_error}")),
+    (2, ("run", "{scope_error}")),
+], ids=["run", "run-trace", "fault", "fault-trace", "parse", "emit-ast", "analyze",
+        "parse-error", "scope-error"])
+def test_calls_leave_no_cyclic_garbage(tmp_path, capsys, code, argv):
+    files = {"trace": tmp_path / "t.jsonl", "parse_error": tmp_path / "parse.ap",
+             "scope_error": tmp_path / "scope.ap"}
+    files["parse_error"].write_text("global g;\nmeth m(x) {\n  g := ;\n}\n")
+    files["scope_error"].write_text("global g; meth m(x) { g := y; run nope(1); }\n")
+    argv = [str(a).format(**files) for a in argv]
+    assert run_cli(*argv) == code  # also builds the cached argument parser
+    assert cyclic_garbage(lambda: run_cli(*argv)) == 0
 
 
 # ----------------------------------------------------------------- library

@@ -7,6 +7,7 @@ out-of-scope-leaf tests build their trees by hand.
 Outcomes and traces are checked against hand-computed values.
 """
 
+import gc
 import json
 import sys
 import threading
@@ -761,9 +762,10 @@ def test_foreign_node_raises_instead_of_an_outcome(stmt):
 def test_interpreter_rejects_trees_the_grammar_cannot_express(body, error):
     # As pretty_print does: a block is no statement, and a branch or body
     # is always a block.
-    program = Program("g", [Method("m", "x", body)])
+    # The tree is compiled by ``run``, not by the constructor.
+    interp = Interpreter(Program("g", [Method("m", "x", body)]))
     with pytest.raises(error):
-        Interpreter(program).run()
+        interp.run()
 
 
 @pytest.mark.parametrize("stmt", [
@@ -831,3 +833,66 @@ def test_trace_off_matches_trace_on():
             off, trace = run_observed(program, budget, trace=False)
             assert off == on, pretty_print(program)
             assert trace == []
+
+
+def test_second_run_returns_an_outcome():
+    # A run drops its compiled code when it returns, so a second run on the
+    # same interpreter compiles afresh and goes on from the state the first left.
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
+    texts += [pretty_print(p) for p in gen_programs(seed=9753, count=30)]
+    for text in texts:
+        for budget in (50, DEFAULT_BUDGET):
+            for trace in (True, False):
+                interp = Interpreter(parse_program(text), budget=budget, trace=trace)
+                interp.run()
+                assert isinstance(interp.run(), (Finished, Failed)), text
+
+
+# ------------------------------------------------------------------ memory
+
+def cyclic_garbage(*calls) -> int:
+    """Objects that only the cyclic collector can free, left by ``calls`` in turn.
+
+    Objects made before the calls are frozen, so they are neither counted
+    nor scanned: a full collection of the test process would take longer.
+    """
+    gc.disable()
+    gc.freeze()
+    try:
+        for call in calls:
+            call()
+        return gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_runs_leave_no_cyclic_garbage():
+    def run(program, **options):
+        """A call that builds the interpreter too, so that it is counted."""
+        return lambda: Interpreter(program, **options).run()
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
+    texts += [pretty_print(p) for p in gen_programs(seed=8642, count=200)]
+    for text in texts:
+        program = parse_program(text)
+        full = Interpreter(program)
+        full.run()
+        runs = [run(program, budget=budget, trace=trace)
+                for budget in (DEFAULT_BUDGET, full.step_count // 2) for trace in (True, False)]
+        assert cyclic_garbage(*runs) == 0, text
+    for src in (ENDLESS_RUN, "global g; meth m(x) { g := 1 / x; }",
+                "global g; meth m(x) { if 1 { return(); } else { } g := 1; }"):
+        for trace in (True, False):
+            assert cyclic_garbage(run(parse_program(src), trace=trace)) == 0, src
+
+    def foreign(stmt, error):
+        program = Program("g", [Method("m", "x", Seq([stmt]))])
+        try:
+            Interpreter(program).run()
+        except error:
+            return  # the exception, its traceback and their frames go here
+        pytest.fail("no error")
+    for stmt, error in ((ForeignStmt(), KeyError),
+                        (While(Var("x"), AssignLocal("x", IntLit(0))), TypeError)):
+        assert cyclic_garbage(lambda: foreign(stmt, error)) == 0, stmt
