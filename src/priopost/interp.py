@@ -169,11 +169,10 @@ class Interpreter:
     to audit terminal states.
 
     ``postlist`` is the post queue to run on: by default a new
-    ``AsynchList``.  It is also a hook: any object answering the three
-    calls ``AsynchList`` documents (``is_empty``, ``add`` and
-    ``remove_first``) runs in its place, which is how the tests
-    cross-check a reference queue.  A queue passed in may be mutated by
-    the run, as ``AsynchList`` updates itself in place.
+    ``AsynchList``.  It is also a hook: any queue updated in place by
+    the three calls ``AsynchList`` documents (``add``, ``remove_first``
+    and ``len``) runs in its place, which is how the tests cross-check
+    a reference queue; ``postlist`` is that same object after the run.
 
     With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
     ``[]`` and so does the outcome's, while the outcome, the store and
@@ -222,7 +221,7 @@ class Interpreter:
         self.methods = {m.name: m for m in program.methods}
         self.budget = budget
         self.store = Store(0, {m.name: 0 for m in program.methods})
-        self.postlist = AsynchList.empty() if postlist is None else postlist
+        self.postlist = AsynchList() if postlist is None else postlist
         self.stack: list[str] = []
         self.step_count = 0
         self.trace: list[TraceEvent] = []
@@ -420,15 +419,14 @@ class Interpreter:
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee, declared = stmt.method, stmt.method in self.methods
         arg_expr, priority = stmt.arg, stmt.priority
-        tracing, emit = self._tracing, self._emit
+        tracing, emit, add = self._tracing, self._emit, self.postlist.add
 
         def synch():
             if not declared:
                 raise ValueError(f"method {callee!r} is not declared")
             v = arg()
             self._post_seq += 1
-            node = AsynchNode(callee, arg_expr, v, priority, self._post_seq)
-            self.postlist = self.postlist.add(node)
+            add(AsynchNode(callee, arg_expr, v, priority, self._post_seq))
             if tracing:
                 emit("post", callee, v, priority)
         return synch
@@ -467,8 +465,10 @@ class Interpreter:
                     if self._tracing:
                         self._emit("method-end", method.name)
                 # Drain: highest priority first, FIFO within a priority.
-                while not self.postlist.is_empty():
-                    node, self.postlist = self.postlist.remove_first()
+                postlist = self.postlist
+                remove_first = postlist.remove_first
+                while postlist:
+                    node = remove_first()
                     self._tick(node.arg_expr)
                     self.store.locals[node.method] = node.arg_value
                     if self._tracing:
@@ -505,7 +505,7 @@ def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
 
     To run on another queue, for example to cross-check the scheduler
     against a reference, pass it as ``Interpreter``'s ``postlist``,
-    which the run may mutate.
+    which the run changes in place.
     """
     return Interpreter(program, budget=budget).run()
 

@@ -6,10 +6,7 @@ head of the first region that is not empty, so the observable order is:
 ascending priority rank, first-posted first within a rank.
 
 ``AsynchList`` is that queue: one FIFO deque per region, updated in
-place, so ``add`` and ``remove_first`` are O(1) at any depth.  Each
-returns the queue to continue with (the receiver), which lets
-``Interpreter(program, postlist=...)`` run on any other queue with the
-same calls, such as a reference queue under test.
+place, so ``add`` and ``remove_first`` are O(1) at any depth.
 """
 
 from __future__ import annotations
@@ -44,13 +41,13 @@ class AsynchList:
     """Production post queue: one FIFO deque per priority region.
 
     ``regions`` holds the high, medium and low deques, in dispatch
-    order.  ``add`` and ``remove_first`` update them in place and return
-    the receiver; ``check_invariants`` audits them.
-
-    The interpreter makes three calls on whatever queue it is given:
-    ``is_empty()``, ``add(node)``, which returns the queue to continue
-    with, and ``remove_first()``, which returns the head node and the
-    queue to continue with.
+    order; ``check_invariants`` audits them.  ``Interpreter(program,
+    postlist=...)`` makes three calls on its queue: ``add(node)``, whose
+    return value it ignores, ``remove_first()``, which removes and
+    returns the head node, and ``len(queue)``, whose truth value ends
+    the drain.  Another queue in its place must update itself in place:
+    an immutable one is not supported, and the tests wrap theirs in a
+    holder that rebinds it.
     """
 
     __slots__ = ("regions",)
@@ -58,13 +55,9 @@ class AsynchList:
     def __init__(self):
         self.regions = (deque(), deque(), deque())
 
-    @classmethod
-    def empty(cls) -> "AsynchList":
-        return cls()
-
     @property
     def nodes(self) -> "AsynchList":
-        """The queued nodes in dispatch order: a live view with O(1) ``len``."""
+        """Dispatch-order live view, kept for the benchmark's queue hook."""
         return self
 
     def __iter__(self) -> Iterator[AsynchNode]:
@@ -74,23 +67,23 @@ class AsynchList:
         high, medium, low = self.regions
         return len(high) + len(medium) + len(low)
 
-    def is_empty(self) -> bool:
+    def __bool__(self) -> bool:
+        """Truth without ``__len__``'s three calls: the drain tests it per dispatch."""
         high, medium, low = self.regions
-        return not (high or medium or low)
-
-    def to_sequence(self) -> tuple[AsynchNode, ...]:
-        return tuple(self)
+        return bool(high or medium or low)
 
     def add(self, node: AsynchNode) -> "AsynchList":
-        """Append a node to the tail of its priority region; return the receiver."""
+        """Append a node to the tail of its priority region, in place; the
+        receiver is returned only for the benchmark's queue hook.
+        """
         self.regions[node.priority.rank - 1].append(node)
         return self
 
-    def remove_first(self) -> tuple[AsynchNode, "AsynchList"]:
-        """Remove and return the head node together with the receiver."""
+    def remove_first(self) -> AsynchNode:
+        """Remove and return the head node."""
         for region in self.regions:
             if region:
-                return region.popleft(), self
+                return region.popleft()
         raise EmptyListError("remove from empty post list")
 
     def check_invariants(self) -> list[str]:

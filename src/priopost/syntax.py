@@ -72,10 +72,6 @@ class Priority(enum.Enum):
         self.rank = rank  # plain attributes: enum properties cost a call per read
         self.keyword = self.name.lower()
 
-    @classmethod
-    def from_keyword(cls, word: str) -> "Priority":
-        return cls[word.upper()]
-
 
 class ParseError(Exception):
     """Syntax error with source position and the tokens that were expected."""
@@ -400,7 +396,7 @@ class _Parser:
                     self._error("expected priority", expected=("high", "medium", "low"))
                 self.pos += 1
                 self._expect(")", ";")
-                stmt = Synch(method, arg, Priority.from_keyword(prio))
+                stmt = Synch(method, arg, Priority[prio.upper()])
             elif text == "run":
                 method = self._expect_ident("method name")
                 self._expect("(")

@@ -1,8 +1,9 @@
-"""Test helper: the two reference post queues.
+"""Test helper: the two reference post queues and their in-place holder.
 
-The interpreter takes any queue through ``Interpreter(program,
-postlist=...)``; the tests plug these two in to cross-check the
-production ``AsynchList``:
+The interpreter takes any queue updated in place through
+``Interpreter(program, postlist=...)``; the tests plug these two in,
+each wrapped in ``InPlace``, to cross-check the production
+``AsynchList``:
 
 * ``MarkerList`` is the paper's structure: one immutable tuple with the
   positions of the last high and last medium node as region-tail
@@ -12,6 +13,9 @@ production ``AsynchList``:
 * ``OracleQueue`` is a deliberately naive reference (a flat bag
   dequeued by a stable sort on ``(rank, seq)``) used to cross-check the
   other two.
+
+Both are immutable, with a functional API: ``add`` returns a new
+queue, and ``remove_first`` returns the head with the remainder.
 """
 
 from __future__ import annotations
@@ -37,13 +41,6 @@ class MarkerList:
     nodes: tuple[AsynchNode, ...] = ()
     high_tail: int | None = None
     medium_tail: int | None = None
-
-    @classmethod
-    def empty(cls) -> "MarkerList":
-        return cls()
-
-    def is_empty(self) -> bool:
-        return not self.nodes
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -127,13 +124,6 @@ class OracleQueue:
 
     entries: tuple[AsynchNode, ...] = ()
 
-    @classmethod
-    def empty(cls) -> "OracleQueue":
-        return cls()
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -149,3 +139,40 @@ class OracleQueue:
         head = min(self.entries, key=lambda n: (n.priority.rank, n.seq))
         i = self.entries.index(head)
         return head, OracleQueue(self.entries[:i] + self.entries[i + 1:])
+
+    def check_invariants(self) -> list[str]:
+        """A flat bag has one invariant: no seq is queued twice."""
+        seqs = [n.seq for n in self.entries]
+        return [] if len(set(seqs)) == len(seqs) else ["duplicate seq values"]
+
+
+class InPlace:
+    """An immutable reference queue behind the interpreter's in-place calls.
+
+    ``add`` and ``remove_first`` rebind ``queue`` to the queue the
+    reference returns, so ``InPlace(MarkerList())`` can be passed as
+    ``Interpreter``'s ``postlist`` or tested beside ``AsynchList``.
+    Iteration (in dispatch order) and ``check_invariants`` read the
+    wrapped queue.
+    """
+
+    __slots__ = ("queue",)
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def __iter__(self):
+        return iter(self.queue.to_sequence())
+
+    def add(self, node: AsynchNode):
+        self.queue = self.queue.add(node)
+
+    def remove_first(self) -> AsynchNode:
+        node, self.queue = self.queue.remove_first()
+        return node
+
+    def check_invariants(self) -> list[str]:
+        return self.queue.check_invariants()

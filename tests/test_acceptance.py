@@ -33,7 +33,7 @@ from priopost import (
 
 from deadstrip import strip_dead_posts
 from progen import gen_programs
-from refqueues import MarkerList, OracleQueue
+from refqueues import InPlace, MarkerList, OracleQueue
 
 
 def criterion(cid: str, title: str):
@@ -149,25 +149,22 @@ def test_a3_queue_oracle_equivalence():
     arg = IntLit(0)
     rng = random.Random(13)
     for _ in range(10_000):
-        li = AsynchList.empty()
-        oracle = OracleQueue.empty()
+        li = AsynchList()
+        oracle = InPlace(OracleQueue())
         seq = 0
         for _ in range(rng.randint(1, 100)):
-            if li.is_empty() or rng.random() < 0.6:
+            if not li or rng.random() < 0.6:
                 seq += 1
                 node = AsynchNode("m", arg, 0, rng.choice(priorities), seq)
-                li, oracle = li.add(node), oracle.add(node)
+                li.add(node)
+                oracle.add(node)
             else:
-                got, li = li.remove_first()
-                want, oracle = oracle.remove_first()
-                assert got == want
-        assert li.to_sequence() == oracle.to_sequence()
+                assert li.remove_first() == oracle.remove_first()
+        assert tuple(li) == tuple(oracle)
         assert li.check_invariants() == []
-        while not li.is_empty():
-            got, li = li.remove_first()
-            want, oracle = oracle.remove_first()
-            assert got == want
-        assert oracle.is_empty()
+        while li:
+            assert li.remove_first() == oracle.remove_first()
+        assert len(oracle) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -178,8 +175,8 @@ def test_a3_queue_oracle_equivalence():
 def test_a4_scheduler_representation_equivalence(corpus):
     for program in corpus:
         via_list = trace_to_jsonl(Interpreter(program).run())
-        via_markers = trace_to_jsonl(Interpreter(program, postlist=MarkerList.empty()).run())
-        via_oracle = trace_to_jsonl(Interpreter(program, postlist=OracleQueue()).run())
+        via_markers = trace_to_jsonl(Interpreter(program, postlist=InPlace(MarkerList())).run())
+        via_oracle = trace_to_jsonl(Interpreter(program, postlist=InPlace(OracleQueue())).run())
         assert via_list == via_markers == via_oracle, pretty_print(program)
 
 
@@ -247,7 +244,7 @@ def test_a7_stack_discipline_and_terminal_form(corpus):
         outcome = interp.run()
         assert stack_disciplined(outcome), pretty_print(program)
         if isinstance(outcome, Finished):
-            assert interp.postlist.is_empty(), pretty_print(program)
+            assert len(interp.postlist) == 0, pretty_print(program)
             assert interp.stack == [], pretty_print(program)
 
 

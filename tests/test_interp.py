@@ -55,7 +55,7 @@ from priopost.interp import (
 )
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
-from refqueues import MarkerList, OracleQueue
+from refqueues import InPlace, MarkerList, OracleQueue
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -604,7 +604,7 @@ def test_finished_leaves_empty_queue_and_stack():
         "global g; meth m(x) { if x == 0 { synch(m(1), low); } else { } }"))
     out = interp.run()
     assert isinstance(out, Finished)
-    assert interp.postlist.is_empty()
+    assert len(interp.postlist) == 0
     assert interp.stack == []
 
 
@@ -613,7 +613,7 @@ def test_failed_can_leave_queue_nonempty():
         "global g; meth m(x) { synch(m(1), low); provided 0; }"))
     out = interp.run()
     assert isinstance(out, Failed)
-    assert not interp.postlist.is_empty()
+    assert len(interp.postlist) == 1
 
 
 def test_store_has_one_cell_per_method():
@@ -726,9 +726,42 @@ def test_oracle_queue_drop_in_gives_identical_trace():
     """
     prog = parse_program(src)
     via_list = trace_to_jsonl(Interpreter(prog).run())
-    via_markers = trace_to_jsonl(Interpreter(prog, postlist=MarkerList.empty()).run())
-    via_oracle = trace_to_jsonl(Interpreter(prog, postlist=OracleQueue()).run())
+    via_markers = trace_to_jsonl(Interpreter(prog, postlist=InPlace(MarkerList())).run())
+    via_oracle = trace_to_jsonl(Interpreter(prog, postlist=InPlace(OracleQueue())).run())
     assert via_list == via_markers == via_oracle
+
+
+class RecordingQueue:
+    """A queue answering only the three calls of the ``postlist=`` hook, logging each."""
+
+    def __init__(self):
+        self.calls = []
+        self.inner = AsynchList()
+
+    def __len__(self):
+        self.calls.append("len")
+        return len(self.inner)
+
+    def add(self, node):
+        self.calls.append(("add", node.seq))
+        self.inner.add(node)  # returns None: the interpreter must not use it
+
+    def remove_first(self):
+        node = self.inner.remove_first()
+        self.calls.append(("remove_first", node.seq))
+        return node
+
+
+def test_interpreter_makes_only_the_three_queue_calls():
+    queue = RecordingQueue()
+    interp = Interpreter(parse_program(
+        "global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
+        " meth b(y) { g := g + y; }"), postlist=queue)
+    assert interp.run().global_value == 3
+    assert interp.postlist is queue
+    # Two adds at startup; then each drain step tests len before one removal.
+    assert queue.calls == [("add", 1), ("add", 2),
+                           "len", ("remove_first", 2), "len", ("remove_first", 1), "len"]
 
 
 @dataclass
