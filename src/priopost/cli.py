@@ -1,6 +1,7 @@
 """Command line front end: parse, run, and analyze ``.ap`` files.
 
-Exit codes: 0 success, 1 runtime fault, 2 parse or scope error.
+Exit codes: 0 success, 1 runtime fault, 2 parse or scope error, 130
+interrupted.
 Output is deterministic: the same file and flags produce byte-identical
 stdout and trace files.
 """
@@ -12,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import suppress
 
 from .analysis import dead_posts
 from .interp import DEFAULT_BUDGET, Failed, Interpreter, trace_to_jsonl
@@ -56,9 +58,10 @@ def cmd_run(program: Program, budget: int = DEFAULT_BUDGET, trace_path: str | No
     interp = Interpreter(program, budget=budget, trace=trace_path is not None)
     outcome = interp.run()
     if trace_path is not None:
+        text = trace_to_jsonl(outcome)  # first, so Ctrl-C while it is made leaves no file
         try:
             with open(trace_path, "w", encoding="utf-8") as handle:
-                handle.write(trace_to_jsonl(outcome))
+                handle.write(text)
         except OSError as err:
             print(f"error: cannot write {trace_path}: {err.strerror}", file=sys.stderr)
             return 2
@@ -138,15 +141,17 @@ def entry():
     try:
         code = main()
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except KeyboardInterrupt:
+        with suppress(OSError):  # stderr may be unwritable too
+            print("error: interrupted", file=sys.stderr)
+        code = 130
     except OSError as err:
         # stdout or stderr cannot be written: exit with the code of an
         # unwritable trace file, quietly if the reader went away, and point
         # stdout at devnull so the exit flush succeeds.
         if not isinstance(err, BrokenPipeError):
-            try:
+            with suppress(OSError):
                 print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
-            except OSError:
-                pass
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     raise SystemExit(code)

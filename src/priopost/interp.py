@@ -101,16 +101,6 @@ class TraceEvent:
     value: int | None = None
     priority: Priority | None = None
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"seq": self.seq, "kind": self.kind}
-        if self.method is not None:
-            obj["method"] = self.method
-        if self.value is not None:
-            obj["value"] = self.value
-        if self.priority is not None:
-            obj["priority"] = self.priority.keyword
-        return obj
-
 
 @dataclass
 class Finished:
@@ -513,10 +503,10 @@ def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
 def trace_to_jsonl(outcome: Outcome) -> str:
     """Serialize a trace as JSON lines; byte-stable for equal outcomes.
 
-    Each event is one line, the text of ``json.dumps(ev.to_json_obj())``:
-    fields drawn from {seq, kind, method, value, priority}, absent fields
-    omitted.  A finished run ends with ``{"kind": "finished", "global":
-    <final value>}``.
+    Each event is one line, laid out as README's trace table says:
+    ``json.dumps`` text of the fields {seq, kind, method, value,
+    priority} in that order, absent fields omitted.  A finished run ends
+    with ``{"kind": "finished", "global": <final value>}``.
     """
     lines = []
     for ev in outcome.trace:

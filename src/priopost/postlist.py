@@ -41,13 +41,12 @@ class AsynchList:
     """Production post queue: one FIFO deque per priority region.
 
     ``regions`` holds the high, medium and low deques, in dispatch
-    order; ``check_invariants`` audits them.  ``Interpreter(program,
-    postlist=...)`` makes three calls on its queue: ``add(node)``, whose
-    return value it ignores, ``remove_first()``, which removes and
-    returns the head node, and ``len(queue)``, whose truth value ends
-    the drain.  Another queue in its place must update itself in place:
-    an immutable one is not supported, and the tests wrap theirs in a
-    holder that rebinds it.
+    order.  ``Interpreter(program, postlist=...)`` makes three calls on
+    its queue: ``add(node)``, whose return value it ignores,
+    ``remove_first()``, which removes and returns the head node, and
+    ``len(queue)``, whose truth value ends the drain.  Another queue in
+    its place must update itself in place: an immutable one is not
+    supported, and the tests wrap theirs in a holder that rebinds it.
     """
 
     __slots__ = ("regions",)
@@ -85,24 +84,3 @@ class AsynchList:
             if region:
                 return region.popleft()
         raise EmptyListError("remove from empty post list")
-
-    def check_invariants(self) -> list[str]:
-        """Audit region membership, FIFO order, and seq uniqueness.
-
-        Returns a list of violation descriptions; empty means the queue
-        is well formed.
-        """
-        violations = []
-        seen: set[int] = set()
-        for rank, region in enumerate(self.regions, start=1):
-            for n in region:
-                if n.priority.rank != rank:
-                    violations.append(f"seq {n.seq} of rank {n.priority.rank} "
-                                      f"is in the rank-{rank} region")
-            seqs = [n.seq for n in region]
-            if seqs != sorted(seqs):
-                violations.append(f"rank-{rank} region is not in post order")
-            seen.update(seqs)
-        if len(seen) != len(self):
-            violations.append("duplicate seq values")
-        return violations

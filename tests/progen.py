@@ -38,6 +38,7 @@ from priopost import (
     Var,
     While,
 )
+from priopost.syntax import MAX_DEPTH
 
 MAX_METHODS = 5
 MAX_TOTAL_STMTS = 30
@@ -326,3 +327,122 @@ def gen_large_source(rng: random.Random, methods: int = 90) -> str:
         out += ["", f"meth {name}({local}) {{", f"    if {local} {{", *body,
                 "    } else {", "    }", "}"]
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------- hostile
+
+# Literals at and next to the edges of the signed 64-bit range; the lexer
+# takes no literal above I64_MAX, so I64_MIN is written as an expression.
+_EDGE_LITERALS = ("0", "1", "2", "3", "7", "3037000500", "4294967296",
+                  "4611686018427387904", "9223372036854775806", "9223372036854775807")
+_I64_MIN_TEXT = "(-9223372036854775807 - 1)"  # a group, a binary and a unary: 3 levels
+_HOSTILE_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "and", "or")
+
+
+class _Hostile:
+    """Source text of one hostile program; every node's level is counted
+    as the parser counts it, so the text parses however close to
+    ``MAX_DEPTH`` it nests.
+
+    A block at level L holds its statements at L + 1, and their
+    expressions and blocks at L + 2; a parenthesised group at level L
+    holds its expression at L + 1, and a unary operator its operand.
+    Every binary expression is written as a group, so its operands sit
+    two levels below the group."""
+
+    def __init__(self, rng: random.Random, methods: list[str], local: str):
+        self.rng, self.methods, self.local = rng, methods, local
+        self.stmts_left = rng.randint(2, 14)
+
+    def atom(self, level: int) -> str:
+        r = self.rng.random()
+        if r < 0.35:
+            return self.rng.choice(("g", self.local))
+        if r < 0.45 and MAX_DEPTH - level >= 3:
+            return _I64_MIN_TEXT
+        return self.rng.choice(_EDGE_LITERALS)
+
+    def expr(self, level: int, nodes: int = 8) -> str:
+        """An expression whose root sits at ``level``, of about ``nodes`` nodes."""
+        rng, room = self.rng, MAX_DEPTH - level
+        r = rng.random()
+        if room < 2 or nodes <= 1 or r < 0.3:
+            return self.atom(level)
+        if r < 0.42:
+            return f"{rng.choice('-!')} {self.expr(level + 1, nodes - 1)}"
+        if r < 0.44:  # a group nested to the bound, or near it
+            k = rng.randint(max(1, room - 3), room)
+            return "(" * k + self.atom(level + k) + ")" * k
+        if r < 0.46:  # a unary chain to the bound, or near it
+            k = rng.randint(max(1, room - 3), room)
+            return "- " * k + rng.choice(("g", self.local, "1"))
+        if r < 0.48:  # a left-associative chain: one level per operator
+            k = rng.randint(max(1, room - 4), room - 1)
+            terms = [rng.choice(("g", self.local, "1", "9223372036854775807")) for _ in range(k + 1)]
+            return "(" + f" {rng.choice('+-')} ".join(terms) + ")"
+        left = self.expr(level + 2, nodes // 2)
+        right = self.expr(level + 2, nodes // 2)
+        return f"({left} {rng.choice(_HOSTILE_OPS)} {right})"
+
+    def block(self, level: int) -> str:
+        """A block at ``level``: empty where a statement's expression could not fit."""
+        rng, stmts = self.rng, []
+        if level + 2 <= MAX_DEPTH:
+            for _ in range(rng.randint(0, 3)):
+                if self.stmts_left <= 0:
+                    break
+                self.stmts_left -= 1
+                stmts.append(self.stmt(level + 1))
+        return "{ " + " ".join(stmts) + " }"
+
+    def stmt(self, level: int) -> str:
+        """A statement at ``level``; its expressions and blocks sit at ``level + 1``."""
+        rng, inner = self.rng, level + 1
+        r = rng.random()
+        if r < 0.15:
+            return f"g := {self.expr(inner)};"
+        if r < 0.25:
+            return f"{self.local} := {self.expr(inner)};"
+        if r < 0.40:
+            return f"if {self.expr(inner)} {self.block(inner)} else {self.block(inner)}"
+        if r < 0.47:
+            return f"while {self.expr(inner)} {self.block(inner)}"
+        if r < 0.60:
+            return f"run {rng.choice(self.methods)}({self.expr(inner)});"
+        if r < 0.80:
+            prio = rng.choice(_PRIORITIES).keyword
+            return f"synch({rng.choice(self.methods)}({self.expr(inner)}), {prio});"
+        if r < 0.87:
+            return f"provided {self.expr(inner)};"
+        if r < 0.92:
+            return "return();"
+        # A tower of ``if``s, two levels each, to the bound or near it: the
+        # innermost ``if``'s blocks sit at ``level + 2k - 1``.
+        k = rng.randint(1, (MAX_DEPTH - level + 1) // 2)
+        body = f"g := {self.expr(level + 2 * k + 1, 2)};" if level + 2 * k < MAX_DEPTH else ""
+        return "if 1 { " * k + body + " } else { }" * k
+
+
+def gen_hostile_source(rng: random.Random) -> str:
+    """Source of a scope-valid program of 1-4 methods that need not end.
+
+    Unlike ``gen_program``, any method may ``run`` or ``synch`` any other
+    or itself, so runs recurse and posts cycle; ``while`` tests are
+    arbitrary; literals sit at the edges of the 64-bit range; and blocks,
+    groups, unary chains and operator chains nest up to ``MAX_DEPTH``.
+    """
+    methods = [f"m{i}" for i in range(rng.randint(1, 4))]
+    out = ["global g;"]
+    for i, name in enumerate(methods):
+        gen = _Hostile(rng, methods, f"x{i}")
+        out.append(f"meth {name}(x{i}) {gen.block(1)}")
+    return "\n".join(out) + "\n"
+
+
+def gen_hostile_cases(seed: int, count: int) -> list[tuple[str, int]]:
+    """``count`` hostile sources, each with a step budget: 1-50 for most,
+    up to 3,000 for some, so that runs also reach the call-depth bound."""
+    rng = random.Random(seed)
+    return [(gen_hostile_source(rng),
+             rng.randint(1, 50) if rng.random() < 0.8 else rng.randint(51, 3000))
+            for _ in range(count)]

@@ -1,9 +1,13 @@
-"""Test helper: the reference JSON form of an AST, as Python data.
+"""Test helper: the reference JSON forms of an AST and of a trace event,
+as Python data.
 
-This is the dict renderer ``priopost.syntax`` used before
+``ref_to_dict`` is the dict renderer ``priopost.syntax`` used before
 ``ast_to_json`` wrote the JSON text directly, kept unchanged so that
 ``json.dumps(ref_to_dict(tree))`` pins ``ast_to_json(tree)`` byte for
-byte from outside the package.
+byte from outside the package.  ``ref_event_to_dict`` is the mapping
+``TraceEvent.to_json_obj`` stated before it left the package, kept
+unchanged so that ``json.dumps`` of it pins each line of
+``trace_to_jsonl`` the same way.
 """
 
 from __future__ import annotations
@@ -58,3 +62,16 @@ _TO_DICT = {
     Binary: lambda n: {"kind": "binary", "op": n.op,
                        "left": ref_to_dict(n.left), "right": ref_to_dict(n.right)},
 }
+
+
+def ref_event_to_dict(event) -> dict:
+    """A trace event as README's trace table lays it out: ``seq`` and
+    ``kind``, then ``method``, ``value`` and ``priority`` where present."""
+    obj: dict = {"seq": event.seq, "kind": event.kind}
+    if event.method is not None:
+        obj["method"] = event.method
+    if event.value is not None:
+        obj["value"] = event.value
+    if event.priority is not None:
+        obj["priority"] = event.priority.keyword
+    return obj

@@ -1,4 +1,5 @@
-"""Test helper: the two reference post queues and their in-place holder.
+"""Test helper: the two reference post queues, their in-place holder,
+and the audit of the production queue.
 
 The interpreter takes any queue updated in place through
 ``Interpreter(program, postlist=...)``; the tests plug these two in,
@@ -15,7 +16,10 @@ each wrapped in ``InPlace``, to cross-check the production
   other two.
 
 Both are immutable, with a functional API: ``add`` returns a new
-queue, and ``remove_first`` returns the head with the remainder.
+queue, and ``remove_first`` returns the head with the remainder.  Each
+audits itself with ``check_invariants``; ``check_regions`` audits an
+``AsynchList`` from outside, through its ``regions``, and ``audit``
+picks the right one for any queue under test.
 """
 
 from __future__ import annotations
@@ -152,8 +156,7 @@ class InPlace:
     ``add`` and ``remove_first`` rebind ``queue`` to the queue the
     reference returns, so ``InPlace(MarkerList())`` can be passed as
     ``Interpreter``'s ``postlist`` or tested beside ``AsynchList``.
-    Iteration (in dispatch order) and ``check_invariants`` read the
-    wrapped queue.
+    Iteration (in dispatch order) reads the wrapped queue.
     """
 
     __slots__ = ("queue",)
@@ -174,5 +177,33 @@ class InPlace:
         node, self.queue = self.queue.remove_first()
         return node
 
-    def check_invariants(self) -> list[str]:
-        return self.queue.check_invariants()
+
+def check_regions(queue) -> list[str]:
+    """Audit an ``AsynchList``'s ``regions``: region membership, FIFO
+    order, and seq uniqueness.
+
+    Returns a list of violation descriptions; empty means the queue is
+    well formed.
+    """
+    violations = []
+    seen: set[int] = set()
+    for rank, region in enumerate(queue.regions, start=1):
+        for n in region:
+            if n.priority.rank != rank:
+                violations.append(f"seq {n.seq} of rank {n.priority.rank} "
+                                  f"is in the rank-{rank} region")
+        seqs = [n.seq for n in region]
+        if seqs != sorted(seqs):
+            violations.append(f"rank-{rank} region is not in post order")
+        seen.update(seqs)
+    if len(seen) != len(queue):
+        violations.append("duplicate seq values")
+    return violations
+
+
+def audit(queue) -> list[str]:
+    """Violations in any queue under test: a wrapped reference's own
+    ``check_invariants``, or ``check_regions`` of an ``AsynchList``."""
+    if isinstance(queue, InPlace):
+        return queue.queue.check_invariants()
+    return check_regions(queue)

@@ -33,7 +33,7 @@ from priopost import (
 
 from deadstrip import strip_dead_posts
 from progen import gen_programs
-from refqueues import InPlace, MarkerList, OracleQueue
+from refqueues import InPlace, MarkerList, OracleQueue, check_regions
 
 
 def criterion(cid: str, title: str):
@@ -161,7 +161,7 @@ def test_a3_queue_oracle_equivalence():
             else:
                 assert li.remove_first() == oracle.remove_first()
         assert tuple(li) == tuple(oracle)
-        assert li.check_invariants() == []
+        assert check_regions(li) == []
         while li:
             assert li.remove_first() == oracle.remove_first()
         assert len(oracle) == 0

@@ -1,6 +1,7 @@
 """Command-line interface tests, and README's list of library names.
 
-Exit-code contract: 0 success, 1 runtime fault, 2 parse/scope error.
+Exit-code contract: 0 success, 1 runtime fault, 2 parse/scope error, 130
+interrupted.
 Most tests drive ``main(argv)`` in-process; determinism is additionally
 checked through real subprocesses.
 """
@@ -8,8 +9,10 @@ checked through real subprocesses.
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -323,6 +326,36 @@ def test_full_stderr_exits_2(tmp_path, argv, stdout_full):
             [sys.executable, "-m", "priopost.cli", *argv],
             stdout=full if stdout_full else subprocess.PIPE, stderr=full, text=True)
     assert result.returncode == 2
+
+
+def cpu_seconds(pid: int) -> float:
+    """User plus system CPU time of a running process, from ``/proc``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_ctrl_c_exits_130_with_one_line(tmp_path):
+    # Starting the process and importing the package take well under 0.3 s
+    # of CPU, so past that the run is under way.  A traced run keeps every
+    # event in memory, so the signal goes as soon as it is.
+    trace = tmp_path / "t.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "priopost.cli", "run", str(PROGRAMS / "count_forever.ap"),
+         "--budget", "100000000", "--trace", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        while cpu_seconds(proc.pid) < 0.3:
+            assert proc.poll() is None
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert not trace.exists()
 
 
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):

@@ -55,6 +55,7 @@ from priopost.interp import (
 )
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
+from refjson import ref_event_to_dict
 from refqueues import InPlace, MarkerList, OracleQueue
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -665,8 +666,8 @@ def test_jsonl_omits_absent_fields_and_ends_with_finished():
 
 
 def reference_jsonl(outcome) -> str:
-    """trace_to_jsonl's format, stated with json.dumps over to_json_obj."""
-    lines = [json.dumps(ev.to_json_obj()) for ev in outcome.trace]
+    """trace_to_jsonl's format, stated with json.dumps over ref_event_to_dict."""
+    lines = [json.dumps(ref_event_to_dict(ev)) for ev in outcome.trace]
     if isinstance(outcome, Finished):
         lines.append(json.dumps({"kind": "finished", "global": outcome.global_value}))
     return "".join(line + "\n" for line in lines)

@@ -7,7 +7,8 @@ functional API).  The drain-order and oracle tests run every queue under
 the interpreter's in-place calls (``add``, ``remove_first`` and ``len``):
 ``AsynchList``, and ``MarkerList`` and ``OracleQueue`` each wrapped in
 ``InPlace``, cross-checked against the brute-force ``OracleQueue``.
-The references live in ``tests/refqueues.py``, not in the package.
+The references and the audits (``audit`` and ``check_regions``) live in
+``tests/refqueues.py``, not in the package.
 """
 
 import random
@@ -23,7 +24,7 @@ from priopost import (
     Priority,
 )
 
-from refqueues import InPlace, MarkerList, OracleQueue
+from refqueues import InPlace, MarkerList, OracleQueue, audit, check_regions
 
 
 _seq_counter = 0
@@ -171,20 +172,20 @@ def test_equal_priority_never_reordered():
 
 def test_invariants_ok_on_constructed_lists():
     for make in IN_PLACE.values():
-        assert make().check_invariants() == []
-        assert build(L, H, M, H, M, L, queue=make()).check_invariants() == []
+        assert audit(make()) == []
+        assert audit(build(L, H, M, H, M, L, queue=make())) == []
 
 
 def test_asynch_list_invariants_detect_each_fault():
     wrong_region = AsynchList()
     wrong_region.regions[0].append(node(L, 1))
-    assert wrong_region.check_invariants() == ["seq 1 of rank 3 is in the rank-1 region"]
+    assert check_regions(wrong_region) == ["seq 1 of rank 3 is in the rank-1 region"]
     out_of_order = AsynchList()
     out_of_order.regions[1].extend([node(M, 2), node(M, 1)])
-    assert out_of_order.check_invariants() == ["rank-2 region is not in post order"]
+    assert check_regions(out_of_order) == ["rank-2 region is not in post order"]
     duplicate = build(H, L)
     duplicate.regions[1].append(node(M, 1))
-    assert duplicate.check_invariants() == ["duplicate seq values"]
+    assert check_regions(duplicate) == ["duplicate seq values"]
 
 
 def test_invariants_detect_region_disorder():
@@ -224,7 +225,7 @@ def test_insert_order_matches_stable_sort(make, priorities):
         n = node(p, seq=i)
         li.add(n)
         oracle = oracle.add(n)
-        assert li.check_invariants() == []
+        assert audit(li) == []
         assert tuple(li) == oracle.to_sequence()
 
 
@@ -244,7 +245,7 @@ def test_mixed_ops_match_oracle(make, ops):
         else:
             want, oracle = oracle.remove_first()
             assert li.remove_first() == want
-        assert li.check_invariants() == []
+        assert audit(li) == []
         assert tuple(li) == oracle.to_sequence()
     while li:
         want, oracle = oracle.remove_first()
