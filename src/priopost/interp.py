@@ -19,10 +19,11 @@ Other load-bearing choices, all observable in the trace:
   what the dispatched body sees, however the store changed in between.
 * Each method has a single local cell, shared by every activation, so
   a recursive or re-entrant ``run`` clobbers the caller's local.
-* ``return()`` pops the active frame and discards the rest of the
-  body; a body that ends without it returns implicitly.
+* ``return()``, by value, pops the active frame and skips the rest of
+  the body; a body that ends without it returns implicitly.
 * ``provided e`` with ``e = 0`` has nowhere to go: it aborts the run
-  with a ``provided-failed`` outcome.
+  with a ``provided-failed`` outcome, as each fault does with its
+  node's ``line:col``.
 * Arithmetic is checked signed 64-bit with truncating division;
   ``and``/``or`` evaluate both operands (no short-circuit).
 * A step budget bounds the total number of rule applications so that
@@ -75,13 +76,8 @@ _RUN_LOCK = threading.RLock()
 
 
 class ExecFailure(Exception):
-    """Internal signal for a runtime fault; surfaced as a Failed outcome."""
-
-    def __init__(self, kind: str, line: int, col: int):
-        super().__init__(f"{kind} at {line}:{col}")
-        self.kind = kind
-        self.line = line
-        self.col = col
+    """Internal signal for a runtime fault, raised as ``ExecFailure(kind, node)``
+    with the node it is at; surfaced as a Failed outcome."""
 
 
 @dataclass
@@ -142,13 +138,11 @@ _RANGED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _BINARY = {"/": _div, "%": lambda a, b: a - _div(a, b) * b}
 
 
-class _Returned(Exception):
-    """Raised by ``return()``; the activation it ends catches it."""
-
-
-def _return():
-    """Every ``return()`` statement's closure."""
-    raise _Returned
+def _undeclared(stmt: Run | Synch):
+    """The closure of a ``run`` or ``synch`` to an undeclared method: it raises."""
+    def undeclared():
+        raise ValueError(f"method {stmt.method!r} is not declared")
+    return undeclared
 
 
 class Interpreter:
@@ -170,28 +164,28 @@ class Interpreter:
 
     Code runs as closures, compiled lazily and never kept on the AST.
     ``run`` makes them as it starts and drops them as it returns or
-    raises: they hold the interpreter, so a run leaves no cyclic garbage,
-    and a second ``run`` compiles afresh.  The block (``Seq``) is the unit
-    of compilation and of step accounting: each method body is one, and
-    each ``if`` branch and ``while`` body one made when its statement is
-    compiled.  A block compiles its own statements and their expressions
-    the first time it runs, so code that never runs is never compiled.
-    The block takes the steps: one on entry, then one before each
-    statement, at that statement's position.  Statement closures take
-    none, except ``while``'s step at each return to its test.  A
-    statement calls its children's block closures, so one level of
+    raises: they hold the interpreter, so a run leaves no cyclic
+    garbage, and a second ``run`` compiles afresh.  The block (``Seq``)
+    is the unit of compilation and of step accounting: each method body
+    is one, and each ``if`` branch and ``while`` body one made when its
+    statement is compiled.  A block compiles its own statements and
+    their expressions the first time it runs, so code that never runs is
+    never compiled.  The block takes the steps: one on entry, then one
+    before each statement, at that statement's position.  Statement
+    closures take none but ``while``'s step at each return to its test.
+    A statement calls its children's block closures, so one level of
     statement nesting costs one Python frame.  A ``Var`` is resolved to
-    the global or to its method's local cell when compiled; an
-    out-of-scope variable, like a ``run`` or ``synch`` to an undeclared
-    method, raises ``ValueError`` only when it executes.  ``return()``
-    raises ``_Returned``, which unwinds the rest of the body to the
-    activation that is open: ``_activate`` or its copy inlined in the
-    ``run`` closure.  Only there is a frame popped and its ``return``
-    event emitted, so a body that runs off its end and one that returns
-    early close alike.  Like ``pretty_print``, ``run`` (not the
-    constructor) rejects trees the grammar cannot express: a block as a
-    statement raises ``KeyError``, as any foreign statement does, and a
-    branch or body that is not a ``Seq`` raises ``TypeError``.
+    its cell, and a ``run`` or ``synch`` to its target, when compiled;
+    an out-of-scope variable or undeclared target raises ``ValueError``
+    when it executes, a call before its argument.  A statement closure
+    returns ``True`` only if a ``return()`` ran in it; a block, ``if``
+    or ``while`` returns it at once, and the open activation pops its
+    frame and emits ``return`` either way.  A fault raises
+    ``ExecFailure`` with its node, read only to build ``Failed``.  Like
+    ``pretty_print``, ``run`` (not the constructor) rejects trees the
+    grammar cannot express: a block as a statement raises ``KeyError``,
+    as any foreign statement does, and a branch or body that is not a
+    ``Seq`` raises ``TypeError``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -226,7 +220,7 @@ class Interpreter:
 
     def _tick(self, node):
         if self.step_count >= self.budget:
-            raise ExecFailure(STEP_BUDGET_EXHAUSTED, node.line, node.col)
+            raise ExecFailure(STEP_BUDGET_EXHAUSTED, node)
         self.step_count += 1
 
     # -- expressions: each compiles to a closure returning the value --
@@ -251,17 +245,16 @@ class Interpreter:
         operand = _EXPR[type(expr.operand)](self, expr.operand, method)
         if expr.op != "-":
             return lambda: 0 if operand() != 0 else 1
-        line, col = expr.line, expr.col
 
         def negate():
             v = -operand()
             if v < I64_MIN or v > I64_MAX:
-                raise ExecFailure(ARITH_OVERFLOW, line, col)
+                raise ExecFailure(ARITH_OVERFLOW, expr)
             return v
         return negate
 
     def _compile_binary(self, expr: Binary, method: str):
-        op, line, col = expr.op, expr.line, expr.col
+        op = expr.op
         lhs, cells = expr.left, self.store.locals
         k = expr.right.value if type(expr.right) is IntLit else None
         own = (k is not None and type(lhs) is Var
@@ -279,7 +272,7 @@ class Interpreter:
             f = _RANGED[op]
 
             def overflow():
-                raise ExecFailure(ARITH_OVERFLOW, line, col)
+                raise ExecFailure(ARITH_OVERFLOW, expr)
             if own:
                 return lambda: v if I64_MIN <= (v := f(cells[method], k)) <= I64_MAX else overflow()
             if right is None:
@@ -300,9 +293,9 @@ class Interpreter:
             try:
                 v = op(a, b)
             except ZeroDivisionError:
-                raise ExecFailure(DIVISION_BY_ZERO, line, col) from None
+                raise ExecFailure(DIVISION_BY_ZERO, expr) from None
             if v < I64_MIN or v > I64_MAX:
-                raise ExecFailure(ARITH_OVERFLOW, line, col)
+                raise ExecFailure(ARITH_OVERFLOW, expr)
             return v
         return binary
 
@@ -312,22 +305,23 @@ class Interpreter:
         """A closure that compiles ``block``'s statements the first time it runs."""
         if type(block) is not Seq:
             raise TypeError(f"not a block: {block!r}")
-        budget, line, col = self.budget, block.line, block.col
+        budget = self.budget
         code = None
 
         def run_block():
             nonlocal code
             if code is None:
-                code = [(s.line, s.col, _STMT[type(s)](self, s, method)) for s in block.stmts]
+                code = [(s, _STMT[type(s)](self, s, method)) for s in block.stmts]
             # The steps are taken inline: ``_tick`` would add a call per step.
             if self.step_count >= budget:
-                raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+                raise ExecFailure(STEP_BUDGET_EXHAUSTED, block)
             self.step_count += 1
-            for at_line, at_col, stmt in code:
+            for at, stmt in code:
                 if self.step_count >= budget:
-                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, at_line, at_col)
+                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, at)
                 self.step_count += 1
-                stmt()
+                if stmt():
+                    return True
         return run_block
 
     def _compile_assign_global(self, stmt: AssignGlobal, method: str):
@@ -350,11 +344,10 @@ class Interpreter:
 
     def _compile_provided(self, stmt: Provided, method: str):
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
-        line, col = stmt.line, stmt.col
 
         def provided():
             if expr() == 0:
-                raise ExecFailure(PROVIDED_FAILED, line, col)
+                raise ExecFailure(PROVIDED_FAILED, stmt)
         return provided
 
     def _compile_if(self, stmt: If, method: str):
@@ -366,54 +359,51 @@ class Interpreter:
     def _compile_while(self, stmt: While, method: str):
         cond = _EXPR[type(stmt.cond)](self, stmt.cond, method)
         body = self._compile_block(stmt.body, method)
-        budget, line, col = self.budget, stmt.line, stmt.col
+        budget = self.budget
 
         def while_():
             while cond() != 0:
-                body()
+                if body():
+                    return True
                 # The step of each return to the test, inline as in ``run_block``.
                 if self.step_count >= budget:
-                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, line, col)
+                    raise ExecFailure(STEP_BUDGET_EXHAUSTED, stmt)
                 self.step_count += 1
         return while_
 
     def _compile_run(self, stmt: Run, method: str):
+        if stmt.method not in self.methods:
+            return _undeclared(stmt)
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
-        line, col = stmt.line, stmt.col
-        callee, declared = stmt.method, stmt.method in self.methods
+        callee = stmt.method
         cells, stack, bodies = self.store.locals, self.stack, self._bodies
         tracing, emit = self._tracing, self._emit
 
         def run():
             v = arg()
-            if not declared:
-                raise ValueError(f"method {callee!r} is not declared")
             if len(stack) >= MAX_CALL_DEPTH:  # only here: _activate opens on an empty stack
-                raise ExecFailure(CALL_DEPTH_EXCEEDED, line, col)
+                raise ExecFailure(CALL_DEPTH_EXCEEDED, stmt)
             cells[callee] = v
             if tracing:
                 emit("run-call", callee, v)
             # ``_activate`` inlined: calling it costs a frame per run level, and
             # made ``loop``'s median interpreter time per request 3% slower.
             stack.append(callee)
-            try:
-                bodies[callee]()
-            except _Returned:
-                pass
+            bodies[callee]()
             stack.pop()
             if tracing:
                 emit("return", callee)
         return run
 
     def _compile_synch(self, stmt: Synch, method: str):
+        if stmt.method not in self.methods:
+            return _undeclared(stmt)
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
-        callee, declared = stmt.method, stmt.method in self.methods
+        callee = stmt.method
         arg_expr, priority = stmt.arg, stmt.priority
         tracing, emit, add = self._tracing, self._emit, self.postlist.add
 
         def synch():
-            if not declared:
-                raise ValueError(f"method {callee!r} is not declared")
             v = arg()
             self._post_seq += 1
             add(AsynchNode(callee, arg_expr, v, priority, self._post_seq))
@@ -426,10 +416,7 @@ class Interpreter:
     def _activate(self, method: str):
         """Push a frame, run the body, pop the frame and emit ``return``."""
         self.stack.append(method)
-        try:
-            self._bodies[method]()
-        except _Returned:
-            pass
+        self._bodies[method]()
         self.stack.pop()
         if self._tracing:
             self._emit("return", method)
@@ -466,11 +453,12 @@ class Interpreter:
                     self._activate(node.method)
                 return Finished(self.store.global_value, self.trace)
             except ExecFailure as failure:
+                kind, node = failure.args
                 if self._tracing:
                     active = self.stack[-1] if self.stack else None
-                    kind = "provided-fail" if failure.kind == PROVIDED_FAILED else "error"
-                    self._emit(kind, active)
-                return Failed(failure.kind, failure.line, failure.col, self.trace)
+                    event = "provided-fail" if kind == PROVIDED_FAILED else "error"
+                    self._emit(event, active)
+                return Failed(kind, node.line, node.col, self.trace)
             finally:
                 self._bodies.clear()  # so that reference counting frees the run
                 sys.setrecursionlimit(limit)
@@ -485,7 +473,7 @@ _STMT = {
     AssignGlobal: Interpreter._compile_assign_global,
     AssignLocal: Interpreter._compile_assign_local, Provided: Interpreter._compile_provided,
     If: Interpreter._compile_if, While: Interpreter._compile_while,
-    Run: Interpreter._compile_run, Return: lambda interp, stmt, method: _return,
+    Run: Interpreter._compile_run, Return: lambda interp, stmt, method: lambda: True,
     Synch: Interpreter._compile_synch,
 }
 

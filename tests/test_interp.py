@@ -36,6 +36,7 @@ from priopost import (
     Run,
     Seq,
     Stmt,
+    Synch,
     TraceEvent,
     Var,
     While,
@@ -227,6 +228,21 @@ def test_out_of_scope_leaf_raises_only_when_its_branch_runs(expr):
             If(cond, Seq([AssignGlobal("g", expr)]), Seq([]))]))])
     assert isinstance(run_program(program(Var("x"))), Finished)
     with pytest.raises(ValueError, match="'y' is not in scope"):
+        run_program(program(IntLit(1)))
+
+
+@pytest.mark.parametrize("call", [Run, lambda m, arg: Synch(m, arg, Priority.HIGH)],
+                         ids=["run", "synch"])
+@pytest.mark.parametrize("arg", [IntLit(1), Binary("/", IntLit(1), IntLit(0))],
+                         ids=["literal", "faulting"])
+def test_undeclared_target_raises_before_its_argument(call, arg):
+    # Hand-built: validate_scopes would reject ``nope``.  Its argument is never
+    # evaluated, so even one that would fault cannot turn the error into a Failed.
+    def program(cond):
+        return Program("g", [Method("m", "x", Seq([
+            If(cond, Seq([call("nope", arg)]), Seq([]))]))])
+    assert isinstance(run_program(program(Var("x"))), Finished)
+    with pytest.raises(ValueError, match="'nope' is not declared"):
         run_program(program(IntLit(1)))
 
 
@@ -849,9 +865,10 @@ def test_program_object_reruns_like_fresh_parses():
         assert program == parse_program(text)
 
 
-def run_observed(program, budget: int, trace: bool):
-    """Outcome type and payload, step count and store of one run; and its trace."""
-    interp = Interpreter(program, budget=budget, trace=trace)
+def run_observed(program, budget: int, **options):
+    """Outcome type and payload, step count and store of one run with
+    ``Interpreter``'s ``options``; and its trace."""
+    interp = Interpreter(program, budget=budget, **options)
     out = interp.run()
     end = out.global_value if isinstance(out, Finished) else (out.kind, out.line, out.col)
     return (type(out), end, interp.step_count, interp.store), out.trace
