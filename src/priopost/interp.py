@@ -37,7 +37,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 
-from .postlist import AsynchList, AsynchNode
+from .postlist import AsynchList, AsynchNode, EmptyListError
 from .syntax import (
     I64_MAX,
     I64_MIN,
@@ -154,9 +154,10 @@ class Interpreter:
 
     ``postlist`` is the post queue to run on: by default a new
     ``AsynchList``.  It is also a hook: any queue updated in place by
-    the three calls ``AsynchList`` documents (``add``, ``remove_first``
-    and ``len``) runs in its place, which is how the tests cross-check
-    a reference queue; ``postlist`` is that same object after the run.
+    the two calls ``AsynchList`` documents (``add``, and
+    ``remove_first``, whose ``EmptyListError`` ends the drain) runs in
+    its place, which is how the tests cross-check a reference queue;
+    ``postlist`` is that same object after the run.
 
     With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
     ``[]`` and so does the outcome's, while the outcome, the store and
@@ -192,7 +193,9 @@ class Interpreter:
     and the method's own local left of it is read from its cell, with no
     child closure.  Comparisons, ``and`` and ``or`` yield 0 or 1, so they
     skip both the range check and the ``try`` around ZeroDivisionError.
-    ``+ - *`` cannot divide: they keep only the range check.  Modulo by a
+    ``+ - *`` cannot divide: they keep only the range check, and also
+    read the global left of a literal from the store, and the method's
+    own local as the right operand from its cell.  Modulo by a
     nonzero literal skips both, as the remainder is smaller than the
     divisor.  Division, and modulo by anything else, get the generic
     closure, with both checks.  Every shape evaluates both operands, left
@@ -217,11 +220,6 @@ class Interpreter:
 
     def _emit(self, kind, method=None, value=None, priority=None):
         self.trace.append(TraceEvent(len(self.trace) + 1, kind, method, value, priority))
-
-    def _tick(self, node):
-        if self.step_count >= self.budget:
-            raise ExecFailure(STEP_BUDGET_EXHAUSTED, node)
-        self.step_count += 1
 
     # -- expressions: each compiles to a closure returning the value --
 
@@ -255,12 +253,12 @@ class Interpreter:
 
     def _compile_binary(self, expr: Binary, method: str):
         op = expr.op
-        lhs, cells = expr.left, self.store.locals
-        k = expr.right.value if type(expr.right) is IntLit else None
-        own = (k is not None and type(lhs) is Var
-               and lhs.name == self.methods[method].local != self.program.global_name)
+        lhs, rhs, store = expr.left, expr.right, self.store
+        cells, glob, local = store.locals, self.program.global_name, self.methods[method].local
+        k = rhs.value if type(rhs) is IntLit else None
+        own = k is not None and type(lhs) is Var and lhs.name == local != glob
         left = None if own else _EXPR[type(lhs)](self, lhs, method)
-        right = None if k is not None else _EXPR[type(expr.right)](self, expr.right, method)
+        right = None if k is not None else _EXPR[type(rhs)](self, rhs, method)
         if op in _TRUTH:
             f = _TRUTH[op]
             if own:
@@ -275,8 +273,12 @@ class Interpreter:
                 raise ExecFailure(ARITH_OVERFLOW, expr)
             if own:
                 return lambda: v if I64_MIN <= (v := f(cells[method], k)) <= I64_MAX else overflow()
+            if right is None and type(lhs) is Var and lhs.name == glob:
+                return lambda: v if I64_MIN <= (v := f(store.global_value, k)) <= I64_MAX else overflow()
             if right is None:
                 return lambda: v if I64_MIN <= (v := f(left(), k)) <= I64_MAX else overflow()
+            if type(rhs) is Var and rhs.name == local != glob:
+                return lambda: v if I64_MIN <= (v := f(left(), cells[method])) <= I64_MAX else overflow()
             return lambda: v if I64_MIN <= (v := f(left(), right())) <= I64_MAX else overflow()
         if op == "%" and k:
             m = abs(k)  # the truncating remainder has the dividend's sign
@@ -284,7 +286,7 @@ class Interpreter:
                 return lambda: a % m if (a := cells[method]) >= 0 else -(-a % m)
             return lambda: a % m if (a := left()) >= 0 else -(-a % m)
         left = left or _EXPR[type(lhs)](self, lhs, method)
-        right = right or _EXPR[type(expr.right)](self, expr.right, method)
+        right = right or _EXPR[type(rhs)](self, rhs, method)
         op = _BINARY[op]
 
         def binary():
@@ -312,7 +314,7 @@ class Interpreter:
             nonlocal code
             if code is None:
                 code = [(s, _STMT[type(s)](self, s, method)) for s in block.stmts]
-            # The steps are taken inline: ``_tick`` would add a call per step.
+            # Steps are taken inline, as in ``run()``: a helper would add a call per step.
             if self.step_count >= budget:
                 raise ExecFailure(STEP_BUDGET_EXHAUSTED, block)
             self.step_count += 1
@@ -381,13 +383,13 @@ class Interpreter:
 
         def run():
             v = arg()
-            if len(stack) >= MAX_CALL_DEPTH:  # only here: _activate opens on an empty stack
+            if len(stack) >= MAX_CALL_DEPTH:  # only here: run() opens on an empty stack
                 raise ExecFailure(CALL_DEPTH_EXCEEDED, stmt)
             cells[callee] = v
             if tracing:
                 emit("run-call", callee, v)
-            # ``_activate`` inlined: calling it costs a frame per run level, and
-            # made ``loop``'s median interpreter time per request 3% slower.
+            # The activation is inline, as in ``run()``: a shared helper costs a frame
+            # per run level, and made ``loop``'s median interpreter time 3% slower.
             stack.append(callee)
             bodies[callee]()
             stack.pop()
@@ -402,24 +404,17 @@ class Interpreter:
         callee = stmt.method
         arg_expr, priority = stmt.arg, stmt.priority
         tracing, emit, add = self._tracing, self._emit, self.postlist.add
+        new = tuple.__new__  # the named tuple's own ``__new__`` is a Python frame
 
         def synch():
             v = arg()
             self._post_seq += 1
-            add(AsynchNode(callee, arg_expr, v, priority, self._post_seq))
+            add(new(AsynchNode, (callee, arg_expr, v, priority, self._post_seq)))
             if tracing:
                 emit("post", callee, v, priority)
         return synch
 
     # -- activations and whole runs --
-
-    def _activate(self, method: str):
-        """Push a frame, run the body, pop the frame and emit ``return``."""
-        self.stack.append(method)
-        self._bodies[method]()
-        self.stack.pop()
-        if self._tracing:
-            self._emit("return", method)
 
     def run(self) -> Outcome:
         """Startup phase, then drain; the program must be scope-valid."""
@@ -432,26 +427,42 @@ class Interpreter:
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 2) * MAX_DEPTH)
             try:
-                self._bodies = {m.name: self._compile_block(m.body, m.name)
-                                for m in self.program.methods}
-                for method in self.program.methods:
-                    self._tick(method)
-                    if self._tracing:
-                        self._emit("method-start", method.name)
-                    self._activate(method.name)
-                    if self._tracing:
-                        self._emit("method-end", method.name)
-                # Drain: highest priority first, FIFO within a priority.
-                postlist = self.postlist
-                remove_first = postlist.remove_first
-                while postlist:
-                    node = remove_first()
-                    self._tick(node.arg_expr)
-                    self.store.locals[node.method] = node.arg_value
-                    if self._tracing:
-                        self._emit("dispatch", node.method, node.arg_value, node.priority)
-                    self._activate(node.method)
-                return Finished(self.store.global_value, self.trace)
+                bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
+                                         for m in self.program.methods}
+                stack, budget, tracing, emit = self.stack, self.budget, self._tracing, self._emit
+                # Each activation, at startup and in the drain, is inline: push the
+                # frame, run the body, pop the frame and emit ``return``.
+                for m in self.program.methods:
+                    if self.step_count >= budget:
+                        raise ExecFailure(STEP_BUDGET_EXHAUSTED, m)
+                    self.step_count += 1
+                    if tracing:
+                        emit("method-start", m.name)
+                    stack.append(m.name)
+                    bodies[m.name]()
+                    stack.pop()
+                    if tracing:
+                        emit("return", m.name)
+                        emit("method-end", m.name)
+                # Drain: highest priority first, FIFO within a priority, until
+                # ``remove_first`` finds the queue empty.
+                remove_first, cells = self.postlist.remove_first, self.store.locals
+                while True:
+                    try:
+                        method, arg_expr, value, priority, _ = remove_first()
+                    except EmptyListError:
+                        return Finished(self.store.global_value, self.trace)
+                    if self.step_count >= budget:
+                        raise ExecFailure(STEP_BUDGET_EXHAUSTED, arg_expr)
+                    self.step_count += 1
+                    cells[method] = value
+                    if tracing:
+                        emit("dispatch", method, value, priority)
+                    stack.append(method)
+                    bodies[method]()
+                    stack.pop()
+                    if tracing:
+                        emit("return", method)
             except ExecFailure as failure:
                 kind, node = failure.args
                 if self._tracing:

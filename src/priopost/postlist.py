@@ -41,12 +41,13 @@ class AsynchList:
     """Production post queue: one FIFO deque per priority region.
 
     ``regions`` holds the high, medium and low deques, in dispatch
-    order.  ``Interpreter(program, postlist=...)`` makes three calls on
-    its queue: ``add(node)``, whose return value it ignores,
-    ``remove_first()``, which removes and returns the head node, and
-    ``len(queue)``, whose truth value ends the drain.  Another queue in
-    its place must update itself in place: an immutable one is not
-    supported, and the tests wrap theirs in a holder that rebinds it.
+    order.  ``Interpreter(program, postlist=...)`` makes two calls on
+    its queue: ``add(node)``, whose return value it ignores, and
+    ``remove_first()``, which removes and returns the head node and
+    raises ``EmptyListError``, the drain's end, on an empty queue.
+    Another queue in its place must update itself in place: an
+    immutable one is not supported, and the tests wrap theirs in a
+    holder that rebinds it.  ``len`` and iteration are for inspection.
     """
 
     __slots__ = ("regions",)
@@ -65,11 +66,6 @@ class AsynchList:
     def __len__(self) -> int:
         high, medium, low = self.regions
         return len(high) + len(medium) + len(low)
-
-    def __bool__(self) -> bool:
-        """Truth without ``__len__``'s three calls: the drain tests it per dispatch."""
-        high, medium, low = self.regions
-        return bool(high or medium or low)
 
     def add(self, node: AsynchNode) -> "AsynchList":
         """Append a node to the tail of its priority region, in place; the

@@ -2,8 +2,9 @@
 
 A seeded generator writes expression trees over every binary operator,
 unary ``-`` and ``!``, literals at the signed 64-bit edges, and the
-global and the method's local on either side of an operator.  Each tree
-runs as ``g := <expr>;`` through ``run_program``.  A plain-Python
+global and the method's local on either side of an operator, with extra
+weight on the operand shapes that the interpreter compiles apart.  Each
+tree runs as ``g := <expr>;`` through ``run_program``.  A plain-Python
 evaluator of README's semantics (checked 64-bit arithmetic, division
 truncating toward zero, both operands of every operator evaluated left
 first) predicts the outcome kind, the fault's ``line:col`` and the final
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from priopost import Binary, Failed, Finished, IntLit, Unary, Var, parse_program, run_program
 from priopost.interp import ARITH_OVERFLOW, DIVISION_BY_ZERO
-from priopost.syntax import I64_MAX, I64_MIN
+from priopost.syntax import I64_MAX, I64_MIN, walk
 
 BINARY_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "and", "or")
 EDGES = (0, 1, -1, 2, -2, I64_MIN, I64_MAX)
@@ -46,6 +47,13 @@ def gen_expr(rng: random.Random, depth: int) -> str:
         return literal(rng.choice(EDGES if leaf < 0.8 else SMALL))
     if r < 0.35:
         return f"{rng.choice('-!')}({gen_expr(rng, depth - 1)})"
+    if r < 0.45:
+        # The interpreter's own shapes for ``+ - *``: the global left of a
+        # literal, and the method's local as the right operand.
+        op = rng.choice("+-*")
+        if rng.random() < 0.5:
+            return f"(g {op} {rng.choice([v for v in EDGES + SMALL if v >= 0])})"
+        return f"({gen_expr(rng, depth - 1)} {op} x)"
     op = rng.choice(BINARY_OPS)
     return f"({gen_expr(rng, depth - 1)} {op} {gen_expr(rng, depth - 1)})"
 
@@ -84,6 +92,7 @@ def reference(node, env: dict[str, int]) -> int:
 def test_expressions_match_the_reference():
     rng = random.Random(20_815)
     kinds = {"finished": 0, ARITH_OVERFLOW: 0, DIVISION_BY_ZERO: 0}
+    shapes = {"global-left": 0, "local-right": 0}
     for _ in range(3000):
         x, g = rng.choice(EDGES + SMALL), rng.choice(EDGES + SMALL)
         expr = gen_expr(rng, rng.randint(1, 4))
@@ -91,6 +100,12 @@ def test_expressions_match_the_reference():
                   f"    g := {expr};\n}}\n")
         program = parse_program(source)
         tree = program.methods[0].body.stmts[2].expr
+        for node in walk(tree):
+            if type(node) is Binary and node.op in ("+", "-", "*"):
+                if type(node.left) is Var and node.left.name == "g" and type(node.right) is IntLit:
+                    shapes["global-left"] += 1
+                elif type(node.right) is Var and node.right.name == "x":
+                    shapes["local-right"] += 1
         out = run_program(program)
         try:
             expected = reference(tree, {"x": x, "g": g})
@@ -104,3 +119,5 @@ def test_expressions_match_the_reference():
             kinds["finished"] += 1
     # Every outcome is well represented, so no path goes untested.
     assert min(kinds.values()) > 100, kinds
+    # So does each operand shape that ``+ - *`` compile apart.
+    assert min(shapes.values()) >= 100, shapes

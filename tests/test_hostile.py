@@ -21,6 +21,7 @@ from priopost import (
     Failed,
     Finished,
     Interpreter,
+    ParseError,
     dead_posts,
     parse_program,
     pretty_print,
@@ -131,20 +132,77 @@ def token_mutant(source: str, rng: random.Random) -> str:
     return rng.choice((" ", "\n")).join(t + "\n" if t[:2] == "//" else t for t in toks)
 
 
-def test_cli_exits_0_1_or_2_on_token_mutants(tmp_path, capsys):
+def mutant_sources() -> list[str]:
     sources = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
     sources += [pretty_print(p) for p in gen_programs(seed=2325, count=40)]
-    sources += [source for source, _ in CASES[::50]]
+    return sources + [source for source, _ in CASES[::50]]
+
+
+def assert_cli_survives(path, trace, capsys) -> int:
+    """Every CLI command on ``path`` exits 0, 1 or 2 without a traceback;
+    returns ``run``'s exit code."""
+    run = ["run", str(path), "--budget", "300"]
+    codes = []
+    for argv in (run, run + ["--trace", str(trace)], ["parse", str(path)],
+                 ["parse", "--emit-ast", str(path)], ["analyze", str(path)]):
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2) and "Traceback" not in err, (argv, path.read_text())
+    return codes[0]
+
+
+def test_cli_exits_0_1_or_2_on_token_mutants(tmp_path, capsys):
+    sources = mutant_sources()
     rng = random.Random(2326)
     path, trace = tmp_path / "p.ap", tmp_path / "t.jsonl"
-    run = ["run", str(path), "--budget", "300"]
     for _ in range(1000):
         path.write_text(token_mutant(rng.choice(sources), rng), encoding="utf-8")
-        for argv in (run, run + ["--trace", str(trace)], ["parse", str(path)],
-                     ["parse", "--emit-ast", str(path)], ["analyze", str(path)]):
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2) and "Traceback" not in err, (argv, path.read_text())
+        assert_cli_survives(path, trace, capsys)
+
+
+# Tokens that another of their class replaces, keeping most mutants parseable.
+_OPERATORS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "and", "or")
+_PRIORITIES = ("high", "medium", "low")
+_EDGE_LITERALS = ("0", "1", "2", "3037000499", "3037000500", "4294967296",
+                  "9223372036854775807", "9223372036854775808")
+_DECLARED = re.compile(r"\b(global|meth)\s+(\w+)(?:\s*\(\s*(\w+))?")
+
+
+def class_mutant(source: str, rng: random.Random) -> str:
+    """``source`` with 1-3 tokens each replaced by another of the same class:
+    an operator, a priority, a declared method or variable name, or an
+    integer literal replaced by a 64-bit edge literal."""
+    declared = _DECLARED.findall(source)
+    methods = tuple(sorted({name for kind, name, _ in declared if kind == "meth"}))
+    variables = tuple(sorted({name for kind, name, _ in declared if kind == "global"}
+                             | {local for _, _, local in declared if local}))
+    toks = _TOKEN.findall(source)
+    spots = [(i, cls) for i, t in enumerate(toks)
+             for cls in (_OPERATORS, _PRIORITIES, methods, variables) if t in cls]
+    spots += [(i, _EDGE_LITERALS) for i, t in enumerate(toks) if t.isdigit()]
+    for _ in range(rng.randint(1, 3)):
+        i, choices = rng.choice(spots)
+        toks[i] = rng.choice([c for c in choices if c != toks[i]] or [toks[i]])
+    return " ".join(t + "\n" if t[:2] == "//" else t for t in toks)
+
+
+def test_cli_exits_0_1_or_2_on_same_class_mutants(tmp_path, capsys):
+    sources = mutant_sources()
+    rng = random.Random(2327)
+    path, trace = tmp_path / "p.ap", tmp_path / "t.jsonl"
+    parsed = ran = 0
+    for _ in range(300):
+        text = class_mutant(rng.choice(sources), rng)
+        try:
+            parse_program(text)
+            parsed += 1
+        except ParseError:
+            pass
+        path.write_text(text, encoding="utf-8")
+        ran += assert_cli_survives(path, trace, capsys) != 2
+    # Unlike token mutants, which almost never parse, at least 30% of these
+    # parse and at least 30% pass the scope check and run.
+    assert parsed >= 90 and ran >= 90, (parsed, ran)
 
 
 def test_stripping_dead_posts_keeps_what_a_finished_run_does(programs):

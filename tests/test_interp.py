@@ -22,6 +22,7 @@ from priopost import (
     AssignGlobal,
     AssignLocal,
     AsynchList,
+    AsynchNode,
     Binary,
     Expr,
     Failed,
@@ -165,7 +166,9 @@ def test_values_at_limits_are_fine():
 
 # Each operator class and operand shape compiles to its own closure: a
 # literal right operand is a constant, the method's own local on its left
-# is read from its cell.  These pin down what each shape must still do.
+# is read from its cell, and for ``+ - *`` so are the global left of a
+# literal and the local as the right operand.  These pin down what each
+# shape must still do.
 
 def fault_at(src: str) -> tuple[str, int, int]:
     out = run_src(src)
@@ -202,6 +205,36 @@ def test_min_divided_by_literal_minus_one_overflows():
     assert fault_at(f"global g;\n{line}") == (ARITH_OVERFLOW, 2, line.index("/") + 1)
     assert eval_top(f"(0 - {I64_MAX} - 1) / 1") == I64_MIN
     assert eval_top(f"(0 - {I64_MAX} - 1) % -1") == 0
+
+
+MIN_TEXT = f"0 - {I64_MAX} - 1"
+
+
+@pytest.mark.parametrize("body,value", [
+    ("g := 7; g := g * 3;", 21),
+    ("g := -7; g := g * 3;", -21),
+    ("x := 4; g := 10; g := (g - 1) + x;", 13),
+    ("x := 4; g := 10; g := (g * 2) - x;", 16),
+    ("x := 4; g := x - x;", 0),
+    (f"x := {MIN_TEXT}; g := -1 - x;", I64_MAX),
+])
+def test_global_left_and_local_right_operands(body, value):
+    assert final(f"global g; meth m(x) {{ {body} }}") == value
+
+
+@pytest.mark.parametrize("setup,expr", [
+    (f"g := {I64_MAX};", "g * 2"),
+    (f"g := {MIN_TEXT};", "g - 1"),
+    (f"g := {MIN_TEXT};", "g * 2"),
+    (f"x := {I64_MAX};", "(g + 1) + x"),
+    (f"x := {MIN_TEXT};", "(g - 1) + x"),
+    (f"x := {MIN_TEXT};", "(g + 0) - x"),
+    (f"x := {I64_MAX};", "(g - 2) - x"),
+])
+def test_leaf_operand_overflow_faults_at_its_operator(setup, expr):
+    line = f"meth m(x) {{ {setup} g := {expr}; }}"
+    at = line.index(expr) + expr.rindex(" ") - 1  # the outer operator, 0-based
+    assert fault_at(f"global g;\n{line}") == (ARITH_OVERFLOW, 2, at + 1)
 
 
 @pytest.mark.parametrize("body,value", [
@@ -749,18 +782,25 @@ def test_oracle_queue_drop_in_gives_identical_trace():
 
 
 class RecordingQueue:
-    """A queue answering only the three calls of the ``postlist=`` hook, logging each."""
+    """A queue answering the two calls of the ``postlist=`` hook, logging
+    each, and logging any test of its length or truth too."""
 
     def __init__(self):
         self.calls = []
+        self.posted = []
         self.inner = AsynchList()
 
     def __len__(self):
         self.calls.append("len")
         return len(self.inner)
 
+    def __bool__(self):
+        self.calls.append("bool")
+        return bool(len(self.inner))
+
     def add(self, node):
         self.calls.append(("add", node.seq))
+        self.posted.append(node)
         self.inner.add(node)  # returns None: the interpreter must not use it
 
     def remove_first(self):
@@ -769,16 +809,42 @@ class RecordingQueue:
         return node
 
 
-def test_interpreter_makes_only_the_three_queue_calls():
+TWO_POSTS = ("global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
+             " meth b(y) { g := g + y; }")
+
+
+def test_interpreter_makes_only_the_two_queue_calls():
     queue = RecordingQueue()
-    interp = Interpreter(parse_program(
-        "global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
-        " meth b(y) { g := g + y; }"), postlist=queue)
+    interp = Interpreter(parse_program(TWO_POSTS), postlist=queue)
     assert interp.run().global_value == 3
     assert interp.postlist is queue
-    # Two adds at startup; then each drain step tests len before one removal.
-    assert queue.calls == [("add", 1), ("add", 2),
-                           "len", ("remove_first", 2), "len", ("remove_first", 1), "len"]
+    # Two adds at startup; then one removal per dispatch, and the drain ends
+    # on the EmptyListError of the third, which is not logged.
+    assert queue.calls == [("add", 1), ("add", 2), ("remove_first", 2), ("remove_first", 1)]
+
+
+def test_only_an_empty_queue_ends_the_drain():
+    class BrokenQueue(RecordingQueue):
+        def remove_first(self):
+            raise KeyError("broken")
+
+    with pytest.raises(KeyError, match="broken"):
+        Interpreter(parse_program(TWO_POSTS), postlist=BrokenQueue()).run()
+
+
+def test_posted_nodes_are_asynch_nodes():
+    texts = [TWO_POSTS] + [path.read_text(encoding="utf-8")
+                           for path in sorted(PROGRAMS.glob("*.ap"))]
+    for text in texts:
+        queue = RecordingQueue()
+        Interpreter(parse_program(text), budget=10_000, postlist=queue).run()
+        for node in queue.posted:
+            assert type(node) is AsynchNode, text
+            assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), text
+    queue = RecordingQueue()
+    Interpreter(parse_program(TWO_POSTS), postlist=queue).run()
+    assert queue.posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW, 1),
+                            AsynchNode("b", IntLit(2), 2, Priority.HIGH, 2)]
 
 
 @dataclass
