@@ -19,7 +19,6 @@ from .interp import (
     Finished,
     Interpreter,
     Outcome,
-    TraceEvent,
     run_program,
     trace_to_jsonl,
 )
@@ -56,7 +55,7 @@ from .syntax import (
 __all__ = [
     "AnalysisReport", "DeadPost", "PostEdge", "PostGraph", "dead_posts",
     "DEFAULT_BUDGET", "Failed", "Finished", "Interpreter", "Outcome",
-    "TraceEvent", "run_program", "trace_to_jsonl",
+    "run_program", "trace_to_jsonl",
     "AsynchList", "AsynchNode", "EmptyListError",
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",

@@ -88,32 +88,22 @@ class Store:
     locals: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    seq: int
-    kind: str  # post | dispatch | run-call | return | method-start |
-    #            method-end | assign-global | provided-fail | error
-    method: str | None = None
-    value: int | None = None
-    priority: Priority | None = None
-
-
 @dataclass
 class Finished:
-    """Normal termination: post queue drained, stack empty."""
+    """Normal termination: post queue drained, stack empty; ``trace`` holds its event lines."""
 
     global_value: int
-    trace: list[TraceEvent]
+    trace: list[str]
 
 
 @dataclass
 class Failed:
-    """Aborted run; ``kind`` is one of the runtime fault kinds above."""
+    """Aborted run; ``kind`` is a runtime fault kind above, ``trace`` its event lines."""
 
     kind: str
     line: int
     col: int
-    trace: list[TraceEvent]
+    trace: list[str]
 
 
 Outcome = Finished | Failed
@@ -138,6 +128,17 @@ _RANGED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _BINARY = {"/": _div, "%": lambda a, b: a - _div(a, b) * b}
 
 
+def _layout(kind: str, method: str | None, priority: Priority | None = None) -> tuple[str, str]:
+    """A trace line's text around its run-time fields, README's "Trace format":
+    the line is ``f'{{"seq": {seq}{head}{value}{tail}'``, with no ``value``
+    for a kind that has none, as ``json.dumps`` would write the fields
+    ``seq``, ``kind``, ``method``, ``value`` and ``priority``, absent ones omitted."""
+    head = f', "kind": "{kind}"' + ("" if method is None else ', "method": ' + _json_scalar(method))
+    if kind in ("post", "dispatch", "run-call", "assign-global"):
+        head += ', "value": '
+    return head, "}\n" if priority is None else f', "priority": "{priority.keyword}"}}\n'
+
+
 def _undeclared(stmt: Run | Synch):
     """The closure of a ``run`` or ``synch`` to an undeclared method: it raises."""
     def undeclared():
@@ -159,9 +160,10 @@ class Interpreter:
     its place, which is how the tests cross-check a reference queue;
     ``postlist`` is that same object after the run.
 
-    With ``trace=False`` no ``TraceEvent`` is built: ``trace`` stays
-    ``[]`` and so does the outcome's, while the outcome, the store and
-    ``step_count`` are the same as with ``trace=True``.
+    ``trace`` holds one JSON line per event.  With ``trace=False`` none is
+    made: ``trace`` stays ``[]`` and so does the outcome's, while the outcome,
+    the store and ``step_count`` are the same as with ``trace=True``.  A closure's
+    line text, ``False`` untraced, is also its test: each closure cell costs each call.
 
     Code runs as closures, compiled lazily and never kept on the AST.
     ``run`` makes them as it starts and drops them as it returns or
@@ -211,15 +213,10 @@ class Interpreter:
         self.postlist = AsynchList() if postlist is None else postlist
         self.stack: list[str] = []
         self.step_count = 0
-        self.trace: list[TraceEvent] = []
+        self.trace: list[str] = []
         self._tracing = trace
         self._post_seq = 0
         self._bodies = {}
-
-    # -- bookkeeping --
-
-    def _emit(self, kind, method=None, value=None, priority=None):
-        self.trace.append(TraceEvent(len(self.trace) + 1, kind, method, value, priority))
 
     # -- expressions: each compiles to a closure returning the value --
 
@@ -328,12 +325,14 @@ class Interpreter:
 
     def _compile_assign_global(self, stmt: AssignGlobal, method: str):
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
-        store, tracing, emit = self.store, self._tracing, self._emit
+        store, trace = self.store, self.trace
+        text = self._tracing and _layout("assign-global", method)
 
         def assign_global():
             v = store.global_value = expr()
-            if tracing:
-                emit("assign-global", method, v)
+            if text:
+                head, tail = text
+                trace.append(f'{{"seq": {len(trace) + 1}{head}{v}{tail}')
         return assign_global
 
     def _compile_assign_local(self, stmt: AssignLocal, method: str):
@@ -378,23 +377,25 @@ class Interpreter:
             return _undeclared(stmt)
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
-        cells, stack, bodies = self.store.locals, self.stack, self._bodies
-        tracing, emit = self._tracing, self._emit
+        cells, stack, bodies, trace = self.store.locals, self.stack, self._bodies, self.trace
+        call = self._tracing and _layout("run-call", callee)
+        ret = self._tracing and "".join(_layout("return", callee))
 
         def run():
             v = arg()
             if len(stack) >= MAX_CALL_DEPTH:  # only here: run() opens on an empty stack
                 raise ExecFailure(CALL_DEPTH_EXCEEDED, stmt)
             cells[callee] = v
-            if tracing:
-                emit("run-call", callee, v)
+            if call:
+                head, tail = call
+                trace.append(f'{{"seq": {len(trace) + 1}{head}{v}{tail}')
             # The activation is inline, as in ``run()``: a shared helper costs a frame
             # per run level, and made ``loop``'s median interpreter time 3% slower.
             stack.append(callee)
             bodies[callee]()
             stack.pop()
-            if tracing:
-                emit("return", callee)
+            if ret:
+                trace.append(f'{{"seq": {len(trace) + 1}{ret}')
         return run
 
     def _compile_synch(self, stmt: Synch, method: str):
@@ -403,15 +404,17 @@ class Interpreter:
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
         arg_expr, priority = stmt.arg, stmt.priority
-        tracing, emit, add = self._tracing, self._emit, self.postlist.add
+        trace, add = self.trace, self.postlist.add
         new = tuple.__new__  # the named tuple's own ``__new__`` is a Python frame
+        text = self._tracing and _layout("post", callee, priority)
 
         def synch():
             v = arg()
             self._post_seq += 1
             add(new(AsynchNode, (callee, arg_expr, v, priority, self._post_seq)))
-            if tracing:
-                emit("post", callee, v, priority)
+            if text:
+                head, tail = text
+                trace.append(f'{{"seq": {len(trace) + 1}{head}{v}{tail}')
         return synch
 
     # -- activations and whole runs --
@@ -429,21 +432,25 @@ class Interpreter:
             try:
                 bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
                                          for m in self.program.methods}
-                stack, budget, tracing, emit = self.stack, self.budget, self._tracing, self._emit
+                stack, budget, tracing, trace = self.stack, self.budget, self._tracing, self.trace
+                returns, dispatches = {}, {}  # trace texts, made at need when tracing
                 # Each activation, at startup and in the drain, is inline: push the
-                # frame, run the body, pop the frame and emit ``return``.
+                # frame, run the body, pop the frame and append ``return``.
                 for m in self.program.methods:
                     if self.step_count >= budget:
                         raise ExecFailure(STEP_BUDGET_EXHAUSTED, m)
                     self.step_count += 1
                     if tracing:
-                        emit("method-start", m.name)
+                        head, tail = _layout("method-start", m.name)
+                        trace.append(f'{{"seq": {len(trace) + 1}{head}{tail}')
+                        returns[m.name] = "".join(_layout("return", m.name))
                     stack.append(m.name)
                     bodies[m.name]()
                     stack.pop()
                     if tracing:
-                        emit("return", m.name)
-                        emit("method-end", m.name)
+                        trace.append(f'{{"seq": {len(trace) + 1}{returns[m.name]}')
+                        head, tail = _layout("method-end", m.name)
+                        trace.append(f'{{"seq": {len(trace) + 1}{head}{tail}')
                 # Drain: highest priority first, FIFO within a priority, until
                 # ``remove_first`` finds the queue empty.
                 remove_first, cells = self.postlist.remove_first, self.store.locals
@@ -457,18 +464,22 @@ class Interpreter:
                     self.step_count += 1
                     cells[method] = value
                     if tracing:
-                        emit("dispatch", method, value, priority)
+                        key = method, priority.rank
+                        if key not in dispatches:
+                            dispatches[key] = _layout("dispatch", method, priority)
+                        head, tail = dispatches[key]
+                        trace.append(f'{{"seq": {len(trace) + 1}{head}{value}{tail}')
                     stack.append(method)
                     bodies[method]()
                     stack.pop()
                     if tracing:
-                        emit("return", method)
+                        trace.append(f'{{"seq": {len(trace) + 1}{returns[method]}')
             except ExecFailure as failure:
                 kind, node = failure.args
                 if self._tracing:
                     active = self.stack[-1] if self.stack else None
-                    event = "provided-fail" if kind == PROVIDED_FAILED else "error"
-                    self._emit(event, active)
+                    head, tail = _layout("provided-fail" if kind == PROVIDED_FAILED else "error", active)
+                    self.trace.append(f'{{"seq": {len(self.trace) + 1}{head}{tail}')
                 return Failed(kind, node.line, node.col, self.trace)
             finally:
                 self._bodies.clear()  # so that reference counting frees the run
@@ -500,20 +511,9 @@ def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
 
 
 def trace_to_jsonl(outcome: Outcome) -> str:
-    """Serialize a trace as JSON lines; byte-stable for equal outcomes.
-
-    Each event is one line, laid out as README's trace table says:
-    ``json.dumps`` text of the fields {seq, kind, method, value,
-    priority} in that order, absent fields omitted.  A finished run ends
-    with ``{"kind": "finished", "global": <final value>}``.
-    """
-    lines = []
-    for ev in outcome.trace:
-        method = "" if ev.method is None else ', "method": ' + _json_scalar(ev.method)
-        value = "" if ev.value is None else ', "value": ' + _json_scalar(ev.value)
-        prio = "" if ev.priority is None else ', "priority": ' + _json_scalar(ev.priority.keyword)
-        lines.append(f'{{"seq": {_json_scalar(ev.seq)}, "kind": {_json_scalar(ev.kind)}'
-                     f'{method}{value}{prio}}}\n')
+    """The trace as JSON lines, byte-stable for equal outcomes: the event lines, then
+    on a finished run ``{"kind": "finished", "global": <final value>}``."""
+    lines = outcome.trace
     if isinstance(outcome, Finished):
-        lines.append(f'{{"kind": "finished", "global": {_json_scalar(outcome.global_value)}}}\n')
+        lines = [*lines, f'{{"kind": "finished", "global": {_json_scalar(outcome.global_value)}}}\n']
     return "".join(lines)

@@ -620,7 +620,7 @@ def pretty_print(program: Program) -> str:
 def _json_scalar(value) -> str:
     """``json.dumps(value)``, without the call for an int, or for a string
     it would not escape: printable ASCII without ``"`` or ``\\``, as every
-    parsed name and operator and every trace event kind is."""
+    parsed name and operator is.  AST and trace text go through it."""
     if type(value) is int:
         return str(value)
     if type(value) is str and value.isascii() and value.isprintable() and '"' not in value \

@@ -1,16 +1,19 @@
 """Test helper: the reference JSON forms of an AST and of a trace event,
-as Python data.
+as Python data, and the one reader of a run's trace.
 
 ``ref_to_dict`` is the dict renderer ``priopost.syntax`` used before
 ``ast_to_json`` wrote the JSON text directly, kept unchanged so that
 ``json.dumps(ref_to_dict(tree))`` pins ``ast_to_json(tree)`` byte for
-byte from outside the package.  ``ref_event_to_dict`` is the mapping
-``TraceEvent.to_json_obj`` stated before it left the package, kept
-unchanged so that ``json.dumps`` of it pins each line of
-``trace_to_jsonl`` the same way.
+byte from outside the package.  ``ref_event_to_dict`` states README's
+trace table over a plain ``(seq, kind, method, value, priority)``
+tuple, so that ``json.dumps`` of it pins each line the interpreter
+writes the same way.  ``events`` reads a trace back as data: every
+trace assertion in the suite goes through it.
 """
 
 from __future__ import annotations
+
+import json
 
 from priopost import (
     AssignGlobal,
@@ -64,14 +67,22 @@ _TO_DICT = {
 }
 
 
-def ref_event_to_dict(event) -> dict:
-    """A trace event as README's trace table lays it out: ``seq`` and
-    ``kind``, then ``method``, ``value`` and ``priority`` where present."""
-    obj: dict = {"seq": event.seq, "kind": event.kind}
-    if event.method is not None:
-        obj["method"] = event.method
-    if event.value is not None:
-        obj["value"] = event.value
-    if event.priority is not None:
-        obj["priority"] = event.priority.keyword
+def ref_event_to_dict(event: tuple) -> dict:
+    """A ``(seq, kind, method, value, priority)`` event, with ``None`` for an
+    absent field and the priority's keyword, as README's trace table lays it
+    out: ``seq`` and ``kind``, then ``method``, ``value`` and ``priority``
+    where present."""
+    seq, kind, method, value, priority = event
+    obj: dict = {"seq": seq, "kind": kind}
+    if method is not None:
+        obj["method"] = method
+    if value is not None:
+        obj["value"] = value
+    if priority is not None:
+        obj["priority"] = priority
     return obj
+
+
+def events(outcome) -> list[dict]:
+    """The outcome's trace as data: ``json.loads`` of each event line."""
+    return [json.loads(line) for line in outcome.trace]

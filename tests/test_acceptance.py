@@ -33,6 +33,7 @@ from priopost import (
 
 from deadstrip import strip_dead_posts
 from progen import gen_programs
+from refjson import events
 from refqueues import InPlace, MarkerList, OracleQueue, check_regions
 
 
@@ -93,11 +94,11 @@ def test_a1_priority_order():
                  ("return", "main"), ("method-end", "main")]
     for name in ("b", "c", "a"):
         expected += [("dispatch", name), ("assign-global", name), ("return", name)]
-    assert [(e.kind, e.method) for e in out.trace] == expected
+    assert [(e["kind"], e["method"]) for e in events(out)] == expected
 
-    dispatched = [(e.method, e.priority) for e in out.trace if e.kind == "dispatch"]
-    assert dispatched == [("b", Priority.HIGH), ("c", Priority.MEDIUM),
-                          ("a", Priority.LOW)]
+    dispatched = [(e["method"], e["priority"]) for e in events(out) if e["kind"] == "dispatch"]
+    assert dispatched == [("b", Priority.HIGH.keyword), ("c", Priority.MEDIUM.keyword),
+                          ("a", Priority.LOW.keyword)]
     assert time.perf_counter() - started < 1.0
 
 
@@ -134,8 +135,7 @@ def test_a2_fifo_within_priority():
         expected += [("dispatch", f"p{i}", 1, "high"),
                      ("assign-global", f"p{i}", value, None),
                      ("return", f"p{i}", None, None)]
-    got = [(e.kind, e.method, e.value,
-            e.priority.keyword if e.priority else None) for e in out.trace]
+    got = [(e["kind"], e["method"], e.get("value"), e.get("priority")) for e in events(out)]
     assert got == expected
     assert time.perf_counter() - started < 1.0
 
@@ -215,18 +215,18 @@ def stack_disciplined(outcome) -> bool:
     naming it; a method-end may only appear once its frame is closed.
     """
     sim = []
-    for ev in outcome.trace:
-        kind = ev.kind
+    for ev in events(outcome):
+        kind = ev["kind"]
         if kind in ("method-start", "dispatch"):
             if sim:
                 return False
-            sim.append(ev.method)
+            sim.append(ev["method"])
         elif kind == "run-call":
             if not sim:
                 return False
-            sim.append(ev.method)
+            sim.append(ev["method"])
         elif kind == "return":
-            if not sim or sim[-1] != ev.method:
+            if not sim or sim[-1] != ev["method"]:
                 return False
             sim.pop()
         elif kind == "method-end":
@@ -266,8 +266,8 @@ def test_a8_dead_post_soundness(corpus):
             assert original.global_value == reduced.global_value, pretty_print(program)
         else:
             assert original.kind == reduced.kind, pretty_print(program)
-        assigns = lambda o: [(e.method, e.value) for e in o.trace
-                             if e.kind == "assign-global"]
+        assigns = lambda o: [(e["method"], e["value"]) for e in events(o)
+                             if e["kind"] == "assign-global"]
         assert assigns(original) == assigns(reduced), pretty_print(program)
     # The check must actually bite: a large slice of the corpus has flags.
     assert flagged_programs >= 100, flagged_programs
@@ -291,9 +291,9 @@ def test_a9_snapshot_binding():
     # dispatch, the units digit proves w still received the snapshot 6.
     assert out.global_value == 706
 
-    post = [e for e in out.trace if e.kind == "post"][0]
-    dispatch = [e for e in out.trace if e.kind == "dispatch"][0]
-    assert post.method == dispatch.method == "w"
-    assert post.value == 6
-    assert dispatch.value == 6
+    post = [e for e in events(out) if e["kind"] == "post"][0]
+    dispatch = [e for e in events(out) if e["kind"] == "dispatch"][0]
+    assert post["method"] == dispatch["method"] == "w"
+    assert post["value"] == 6
+    assert dispatch["value"] == 6
     assert interp.store.locals["w"] == 6

@@ -31,6 +31,7 @@ from priopost.syntax import walk
 
 from deadstrip import strip_dead_posts
 from progen import gen_graph_source, gen_program, gen_programs
+from refjson import events
 
 
 def prog(src: str):
@@ -224,10 +225,10 @@ def test_logger_differential():
     a, b = run_program(p), run_program(stripped)
     assert isinstance(a, Finished) and isinstance(b, Finished)
     assert a.global_value == b.global_value == 5
-    assigns = lambda out: [(e.method, e.value) for e in out.trace
-                           if e.kind == "assign-global"]
+    assigns = lambda out: [(e["method"], e["value"]) for e in events(out)
+                           if e["kind"] == "assign-global"]
     assert assigns(a) == assigns(b)
-    posts = lambda out: sum(e.kind == "post" for e in out.trace)
+    posts = lambda out: sum(e["kind"] == "post" for e in events(out))
     assert posts(a) == posts(b) + 2
 
 
@@ -240,8 +241,8 @@ def test_differential_on_random_corpus():
             assert a.global_value == b.global_value
         else:
             assert a.kind == b.kind
-        trace = lambda out: [(e.method, e.value) for e in out.trace
-                             if e.kind == "assign-global"]
+        trace = lambda out: [(e["method"], e["value"]) for e in events(out)
+                             if e["kind"] == "assign-global"]
         assert trace(a) == trace(b)
 
 

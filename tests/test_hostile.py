@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from priopost import (
+    DEFAULT_BUDGET,
     AsynchList,
     Failed,
     Finished,
@@ -40,6 +41,7 @@ from priopost.interp import (
 from priopost.syntax import KEYWORDS
 from deadstrip import strip_dead_posts
 from progen import gen_hostile_cases, gen_programs
+from refjson import events
 from refqueues import InPlace, MarkerList, OracleQueue, audit
 from test_interp import cyclic_garbage, reference_jsonl, run_observed
 
@@ -208,7 +210,8 @@ def test_cli_exits_0_1_or_2_on_same_class_mutants(tmp_path, capsys):
 def test_stripping_dead_posts_keeps_what_a_finished_run_does(programs):
     # Only runs that finish: the strip saves steps and may drop a post whose
     # body would overflow, so a run that faults may not fault once stripped.
-    assigns = lambda out: [(e.method, e.value) for e in out.trace if e.kind == "assign-global"]
+    assigns = lambda out: [(e["method"], e["value"]) for e in events(out)
+                           if e["kind"] == "assign-global"]
     stripped_posts = 0
     for source, program, budget in programs:
         out = run_program(program, budget)
@@ -228,3 +231,18 @@ def test_hostile_runs_leave_no_cyclic_garbage(programs):
         calls = [lambda trace=trace: Interpreter(program, budget=budget, trace=trace).run()
                  for trace in (True, False)]
         assert cyclic_garbage(*calls) == 0, source
+
+
+def test_untraced_runs_make_no_trace_text(programs, monkeypatch):
+    # The trace's layout helper raises: an untraced run that makes any of
+    # its text at compile time, at run time or on a fault fails here.
+    def no_layout(*args):
+        raise AssertionError("trace text made by an untraced run")
+    monkeypatch.setattr("priopost.interp._layout", no_layout)
+    # Hostile programs run at their own budgets, 1-3,000 steps, which reach
+    # every outcome; at the default budget 10% of them spin for a million.
+    runs = [(p, b) for p in gen_programs(seed=2468, count=200) for b in (DEFAULT_BUDGET, 25)]
+    runs += [(p, b) for _, p, own in programs[:200] for b in (own, 25)]
+    for program, budget in runs:
+        out = Interpreter(program, budget=budget, trace=False).run()
+        assert type(out) in (Finished, Failed) and out.trace == [], pretty_print(program)

@@ -34,11 +34,11 @@ from priopost import (
     ParseError,
     Priority,
     Program,
+    Provided,
     Run,
     Seq,
     Stmt,
     Synch,
-    TraceEvent,
     Var,
     While,
     parse_program,
@@ -57,7 +57,7 @@ from priopost.interp import (
 )
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
-from refjson import ref_event_to_dict
+from refjson import events, ref_event_to_dict
 from refqueues import InPlace, MarkerList, OracleQueue
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -79,9 +79,8 @@ def failure_kind(src: str, budget: int = 1_000_000) -> str:
     return out.kind
 
 
-def events(src: str, kind: str):
-    out = run_src(src)
-    return [e for e in out.trace if e.kind == kind]
+def events_of(src: str, kind: str):
+    return [e for e in events(run_src(src)) if e["kind"] == kind]
 
 
 # ------------------------------------------------------------- expressions
@@ -299,8 +298,8 @@ def test_provided_zero_aborts():
     assert out.kind == PROVIDED_FAILED
     assert out.line == 1
     # One provided-fail event closes the trace.
-    assert out.trace[-1].kind == "provided-fail"
-    assert out.trace[-1].method == "m"
+    assert events(out)[-1]["kind"] == "provided-fail"
+    assert events(out)[-1]["method"] == "m"
 
 
 def test_if_branches_on_nonzero():
@@ -393,7 +392,7 @@ def test_endless_run_faults_at_the_run():
     assert (out.kind, out.line, out.col) == (CALL_DEPTH_EXCEEDED, 1, 35)
     assert len(interp.stack) == MAX_CALL_DEPTH
     assert interp.store.global_value == MAX_CALL_DEPTH
-    assert out.trace[-1] == TraceEvent(len(out.trace), "error", "f")
+    assert events(out)[-1] == {"seq": len(out.trace), "kind": "error", "method": "f"}
     quiet = Interpreter(parse_program(ENDLESS_RUN), trace=False)
     assert quiet.run() == Failed(CALL_DEPTH_EXCEEDED, 1, 35, [])
     assert quiet.step_count == interp.step_count
@@ -562,7 +561,7 @@ def test_priority_order_high_medium_low():
     }
     """
     assert final(src) == 231
-    disp = [e.method for e in events(src, "dispatch")]
+    disp = [e["method"] for e in events_of(src, "dispatch")]
     assert disp == ["b", "c", "a"]
 
 
@@ -596,9 +595,9 @@ def test_dispatch_binds_post_time_snapshot():
     """
     out = run_src(src)
     assert out.global_value == 706
-    post = [e for e in out.trace if e.kind == "post"][0]
-    disp = [e for e in out.trace if e.kind == "dispatch"][0]
-    assert post.value == 6 and disp.value == 6
+    post = [e for e in events(out) if e["kind"] == "post"][0]
+    disp = [e for e in events(out) if e["kind"] == "dispatch"][0]
+    assert post["value"] == 6 and disp["value"] == 6
 
 
 def test_repost_chain_runs_to_completion():
@@ -611,7 +610,7 @@ def test_repost_chain_runs_to_completion():
     # dispatched m(x) with x < 3 reposts m(x+1), so both chains run out.
     out = run_src(src)
     assert isinstance(out, Finished)
-    assert len(events(src, "dispatch")) == 6
+    assert len(events_of(src, "dispatch")) == 6
 
 
 def test_deep_queue_drains_in_rank_then_post_order():
@@ -644,7 +643,7 @@ def test_deep_queue_drains_in_rank_then_post_order():
     out = run_src(src)
     assert isinstance(out, Finished)
     assert out.global_value == g
-    assert sum(e.kind == "dispatch" for e in out.trace) == 2 * posts
+    assert sum(e["kind"] == "dispatch" for e in events(out)) == 2 * posts
 
 
 # ------------------------------------------------------------ terminal form
@@ -677,9 +676,9 @@ def test_store_has_one_cell_per_method():
 
 def test_trace_event_sequence_for_simple_program():
     out = run_src("global g; meth m(x) { g := 1; }")
-    kinds = [e.kind for e in out.trace]
+    kinds = [e["kind"] for e in events(out)]
     assert kinds == ["method-start", "assign-global", "return", "method-end"]
-    assert [e.seq for e in out.trace] == [1, 2, 3, 4]
+    assert [e["seq"] for e in events(out)] == [1, 2, 3, 4]
 
 
 def test_every_activation_closes_with_one_return():
@@ -689,19 +688,19 @@ def test_every_activation_closes_with_one_return():
     meth b(y) { run a(1); run a(0); synch(a(1), medium); }
     """
     out = run_src(src)
-    opens = sum(1 for e in out.trace
-                if e.kind in ("method-start", "run-call", "dispatch"))
-    returns = sum(1 for e in out.trace if e.kind == "return")
+    opens = sum(1 for e in events(out)
+                if e["kind"] in ("method-start", "run-call", "dispatch"))
+    returns = sum(1 for e in events(out) if e["kind"] == "return")
     assert opens == returns == 5
 
 
 def test_post_event_carries_priority_and_snapshot():
     # The program reposts forever; the first post needs only a few steps.
     out = run_src("global g; meth m(x) { g := 3; synch(m(g * 2), medium); }", budget=10)
-    post = [e for e in out.trace if e.kind == "post"][0]
-    assert post.method == "m"
-    assert post.value == 6
-    assert post.priority is Priority.MEDIUM
+    post = [e for e in events(out) if e["kind"] == "post"][0]
+    assert post["method"] == "m"
+    assert post["value"] == 6
+    assert post["priority"] == Priority.MEDIUM.keyword
 
 
 def test_jsonl_omits_absent_fields_and_ends_with_finished():
@@ -715,11 +714,22 @@ def test_jsonl_omits_absent_fields_and_ends_with_finished():
 
 
 def reference_jsonl(outcome) -> str:
-    """trace_to_jsonl's format, stated with json.dumps over ref_event_to_dict."""
-    lines = [json.dumps(ref_event_to_dict(ev)) for ev in outcome.trace]
+    """trace_to_jsonl's format, stated with json.dumps over ref_event_to_dict.
+
+    Each event line is read back as a ``(seq, kind, method, value,
+    priority)`` tuple, and must be exactly the reference's line for it:
+    README's keys in README's order, in ``json.dumps``'s layout, with
+    ``seq`` counting 1, 2, 3 and so on."""
+    lines = []
+    for seq, (line, obj) in enumerate(zip(outcome.trace, events(outcome)), 1):
+        event = (obj.pop("seq"), obj.pop("kind"), obj.pop("method", None),
+                 obj.pop("value", None), obj.pop("priority", None))
+        assert obj == {} and event[0] == seq, line
+        lines.append(json.dumps(ref_event_to_dict(event)) + "\n")
+        assert lines[-1] == line
     if isinstance(outcome, Finished):
-        lines.append(json.dumps({"kind": "finished", "global": outcome.global_value}))
-    return "".join(line + "\n" for line in lines)
+        lines.append(json.dumps({"kind": "finished", "global": outcome.global_value}) + "\n")
+    return "".join(lines)
 
 
 def test_jsonl_matches_json_dumps_of_each_event():
@@ -731,10 +741,24 @@ def test_jsonl_matches_json_dumps_of_each_event():
 
 @pytest.mark.parametrize("name", ["é", 'a"b', "a\\b", "\n", "", "run-call"], ids=repr)
 def test_jsonl_escapes_hand_built_events(name):
-    events = [TraceEvent(1, name), TraceEvent(2, "post", name, 3, Priority.HIGH),
-              TraceEvent(3, "dispatch", name, True), TraceEvent(4, "return", None, 2**70)]
-    for outcome in (Finished(-1, events), Failed("error", 1, 1, events)):
-        assert trace_to_jsonl(outcome) == reference_jsonl(outcome)
+    # Only a hand-built tree can name a method so.  At startup ``name`` posts
+    # itself, and the caller runs it, so it posts again; its first dispatch
+    # assigns the global and faults.  So the name is at every emit site.
+    callee = Method(name, "x", Seq([If(
+        Var("x"),
+        Seq([AssignGlobal("g", Var("x")), Provided(Binary("-", Var("x"), IntLit(1)))]),
+        Seq([Synch(name, IntLit(1), Priority.HIGH)]))]))
+    caller = Method(name + "2", "y", Seq([Run(name, IntLit(0))]))
+    out = Interpreter(Program("g", [callee, caller])).run()
+    assert isinstance(out, Failed) and out.kind == PROVIDED_FAILED
+    for line in out.trace:
+        assert line == json.dumps(json.loads(line)) + "\n"
+    assert [(e["kind"], e["method"]) for e in events(out)] == [
+        ("method-start", name), ("post", name), ("return", name), ("method-end", name),
+        ("method-start", name + "2"), ("run-call", name), ("post", name),
+        ("return", name), ("return", name + "2"), ("method-end", name + "2"),
+        ("dispatch", name), ("assign-global", name), ("provided-fail", name)]
+    assert trace_to_jsonl(out) == reference_jsonl(out)
 
 
 def test_jsonl_failed_run_has_no_finished_line():
@@ -745,8 +769,8 @@ def test_jsonl_failed_run_has_no_finished_line():
 
 def test_error_event_names_faulting_method():
     out = run_src("global g; meth m(x) { g := 1 / 0; }")
-    assert out.trace[-1].kind == "error"
-    assert out.trace[-1].method == "m"
+    assert events(out)[-1]["kind"] == "error"
+    assert events(out)[-1]["method"] == "m"
 
 
 def test_failure_location_points_at_fault():
@@ -891,9 +915,11 @@ def test_interpreter_rejects_trees_the_grammar_cannot_express(body, error):
 ], ids=["then", "else", "while"])
 def test_code_that_never_runs_is_never_compiled(stmt):
     program = Program("g", [Method("m", "x", Seq([stmt]))])
-    assert Interpreter(program).run() == Finished(0, [
-        TraceEvent(1, "method-start", "m"), TraceEvent(2, "return", "m"),
-        TraceEvent(3, "method-end", "m")])
+    out = Interpreter(program).run()
+    assert (type(out), out.global_value) == (Finished, 0)
+    assert events(out) == [{"seq": 1, "kind": "method-start", "method": "m"},
+                           {"seq": 2, "kind": "return", "method": "m"},
+                           {"seq": 3, "kind": "method-end", "method": "m"}]
 
 
 @pytest.mark.parametrize("src", [
