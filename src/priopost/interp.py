@@ -128,15 +128,15 @@ _RANGED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _BINARY = {"/": _div, "%": lambda a, b: a - _div(a, b) * b}
 
 
-def _layout(kind: str, method: str | None, priority: Priority | None = None) -> tuple[str, str]:
-    """A trace line's text around its run-time fields, README's "Trace format":
-    the line is ``f'{{"seq": {seq}{head}{value}{tail}'``, with no ``value``
-    for a kind that has none, as ``json.dumps`` would write the fields
-    ``seq``, ``kind``, ``method``, ``value`` and ``priority``, absent ones omitted."""
+def _layout(kind: str, method: str | None, priority: Priority | None = None):
+    """A trace line's text after its ``seq``, laid out as README's "Trace format"
+    says: the line is ``f'{{"seq": {seq}{text}'``, or, for a kind with a value,
+    ``text`` is a pair and the line ``f'{{"seq": {seq}{head}{value}{tail}'``."""
     head = f', "kind": "{kind}"' + ("" if method is None else ', "method": ' + _json_scalar(method))
+    tail = "}\n" if priority is None else f', "priority": "{priority.keyword}"}}\n'
     if kind in ("post", "dispatch", "run-call", "assign-global"):
-        head += ', "value": '
-    return head, "}\n" if priority is None else f', "priority": "{priority.keyword}"}}\n'
+        return head + ', "value": ', tail
+    return head + tail
 
 
 def _undeclared(stmt: Run | Synch):
@@ -188,7 +188,7 @@ class Interpreter:
     ``pretty_print``, ``run`` (not the constructor) rejects trees the
     grammar cannot express: a block as a statement raises ``KeyError``,
     as any foreign statement does, and a branch or body that is not a
-    ``Seq`` raises ``TypeError``.
+    ``Seq``, or a literal that is not an ``int``, raises ``TypeError``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -222,6 +222,8 @@ class Interpreter:
 
     def _compile_int(self, expr: IntLit, method: str):
         value = expr.value
+        if type(value) is not int:  # only a hand-built tree holds one; a trace writes ints
+            raise TypeError(f"not an int literal: {expr!r}")
         return lambda: value
 
     def _compile_var(self, expr: Var, method: str):
@@ -252,7 +254,7 @@ class Interpreter:
         op = expr.op
         lhs, rhs, store = expr.left, expr.right, self.store
         cells, glob, local = store.locals, self.program.global_name, self.methods[method].local
-        k = rhs.value if type(rhs) is IntLit else None
+        k = rhs.value if type(rhs) is IntLit and type(rhs.value) is int else None
         own = k is not None and type(lhs) is Var and lhs.name == local != glob
         left = None if own else _EXPR[type(lhs)](self, lhs, method)
         right = None if k is not None else _EXPR[type(rhs)](self, rhs, method)
@@ -379,7 +381,7 @@ class Interpreter:
         callee = stmt.method
         cells, stack, bodies, trace = self.store.locals, self.stack, self._bodies, self.trace
         call = self._tracing and _layout("run-call", callee)
-        ret = self._tracing and "".join(_layout("return", callee))
+        ret = self._tracing and _layout("return", callee)
 
         def run():
             v = arg()
@@ -441,16 +443,14 @@ class Interpreter:
                         raise ExecFailure(STEP_BUDGET_EXHAUSTED, m)
                     self.step_count += 1
                     if tracing:
-                        head, tail = _layout("method-start", m.name)
-                        trace.append(f'{{"seq": {len(trace) + 1}{head}{tail}')
-                        returns[m.name] = "".join(_layout("return", m.name))
+                        trace.append(f'{{"seq": {len(trace) + 1}{_layout("method-start", m.name)}')
+                        returns[m.name] = _layout("return", m.name)
                     stack.append(m.name)
                     bodies[m.name]()
                     stack.pop()
                     if tracing:
                         trace.append(f'{{"seq": {len(trace) + 1}{returns[m.name]}')
-                        head, tail = _layout("method-end", m.name)
-                        trace.append(f'{{"seq": {len(trace) + 1}{head}{tail}')
+                        trace.append(f'{{"seq": {len(trace) + 1}{_layout("method-end", m.name)}')
                 # Drain: highest priority first, FIFO within a priority, until
                 # ``remove_first`` finds the queue empty.
                 remove_first, cells = self.postlist.remove_first, self.store.locals
@@ -478,8 +478,8 @@ class Interpreter:
                 kind, node = failure.args
                 if self._tracing:
                     active = self.stack[-1] if self.stack else None
-                    head, tail = _layout("provided-fail" if kind == PROVIDED_FAILED else "error", active)
-                    self.trace.append(f'{{"seq": {len(self.trace) + 1}{head}{tail}')
+                    text = _layout("provided-fail" if kind == PROVIDED_FAILED else "error", active)
+                    self.trace.append(f'{{"seq": {len(self.trace) + 1}{text}')
                 return Failed(kind, node.line, node.col, self.trace)
             finally:
                 self._bodies.clear()  # so that reference counting frees the run

@@ -761,6 +761,27 @@ def test_jsonl_escapes_hand_built_events(name):
     assert trace_to_jsonl(out) == reference_jsonl(out)
 
 
+@pytest.mark.parametrize("value", [2**70, -2**70, True, 1.5], ids=repr)
+def test_jsonl_writes_hand_built_literals(value):
+    # Only a hand-built tree holds such a literal.  An int outside i64 is still
+    # JSON at each site that writes a value; anything but an int is rejected
+    # where it compiles, before the trace could write it as Python does.
+    method = Method("m", "x", Seq([If(
+        Var("x"),
+        Seq([AssignGlobal("g", Var("x"))]),
+        Seq([Run("m", IntLit(value)), Synch("m", IntLit(value), Priority.LOW)]))]))
+    interp = Interpreter(Program("g", [method]))
+    if type(value) is not int:
+        with pytest.raises(TypeError):
+            interp.run()
+        return
+    out = interp.run()
+    assert trace_to_jsonl(out) == reference_jsonl(out)
+    assert [(e["kind"], e["value"]) for e in events(out) if "value" in e] == [
+        ("run-call", value), ("assign-global", value), ("post", value),
+        ("dispatch", value), ("assign-global", value)]
+
+
 def test_jsonl_failed_run_has_no_finished_line():
     out = run_src("global g; meth m(x) { provided 0; }")
     objs = [json.loads(line) for line in trace_to_jsonl(out).splitlines()]
@@ -898,10 +919,11 @@ def test_foreign_node_raises_instead_of_an_outcome(stmt):
     (Seq([If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1)))]), TypeError),
     (Seq([While(Var("x"), AssignLocal("x", IntLit(0)))]), TypeError),
     (AssignGlobal("g", IntLit(1)), TypeError),
-], ids=["block-as-statement", "then", "else", "while", "body"])
+    (Seq([AssignGlobal("g", Binary("+", Var("g"), IntLit(True)))]), TypeError),
+], ids=["block-as-statement", "then", "else", "while", "body", "bool-operand"])
 def test_interpreter_rejects_trees_the_grammar_cannot_express(body, error):
     # As pretty_print does: a block is no statement, and a branch or body
-    # is always a block.
+    # is always a block.  A literal is an int, as the trace writes it.
     # The tree is compiled by ``run``, not by the constructor.
     interp = Interpreter(Program("g", [Method("m", "x", body)]))
     with pytest.raises(error):
