@@ -151,14 +151,7 @@ class Interpreter:
 
     ``store``, ``postlist``, ``stack``, ``step_count`` and ``trace``
     stay inspectable after ``run`` returns, which the test suite uses
-    to audit terminal states.
-
-    ``postlist`` is the post queue to run on: by default a new
-    ``AsynchList``.  It is also a hook: any queue updated in place by
-    the two calls ``AsynchList`` documents (``add``, and
-    ``remove_first``, whose ``EmptyListError`` ends the drain) runs in
-    its place, which is how the tests cross-check a reference queue;
-    ``postlist`` is that same object after the run.
+    to audit terminal states.  ``postlist`` is always a new ``AsynchList``.
 
     ``trace`` holds one JSON line per event.  With ``trace=False`` none is
     made: ``trace`` stays ``[]`` and so does the outcome's, while the outcome,
@@ -204,13 +197,12 @@ class Interpreter:
     first.
     """
 
-    def __init__(self, program: Program, budget: int = DEFAULT_BUDGET,
-                 postlist=None, trace: bool = True):
+    def __init__(self, program: Program, budget: int = DEFAULT_BUDGET, trace: bool = True):
         self.program = program
         self.methods = {m.name: m for m in program.methods}
         self.budget = budget
         self.store = Store(0, {m.name: 0 for m in program.methods})
-        self.postlist = AsynchList() if postlist is None else postlist
+        self.postlist = AsynchList()
         self.stack: list[str] = []
         self.step_count = 0
         self.trace: list[str] = []
@@ -501,12 +493,7 @@ _STMT = {
 
 
 def run_program(program: Program, budget: int = DEFAULT_BUDGET) -> Outcome:
-    """Run a scope-valid program to its terminal state on a new ``AsynchList``.
-
-    To run on another queue, for example to cross-check the scheduler
-    against a reference, pass it as ``Interpreter``'s ``postlist``,
-    which the run changes in place.
-    """
+    """Run a scope-valid program to its terminal state on a new ``AsynchList``."""
     return Interpreter(program, budget=budget).run()
 
 

@@ -41,13 +41,9 @@ class AsynchList:
     """Production post queue: one FIFO deque per priority region.
 
     ``regions`` holds the high, medium and low deques, in dispatch
-    order.  ``Interpreter(program, postlist=...)`` makes two calls on
-    its queue: ``add(node)``, whose return value it ignores, and
-    ``remove_first()``, which removes and returns the head node and
-    raises ``EmptyListError``, the drain's end, on an empty queue.
-    Another queue in its place must update itself in place: an
-    immutable one is not supported, and the tests wrap theirs in a
-    holder that rebinds it.  ``len`` and iteration are for inspection.
+    order.  The interpreter makes two calls on its queue: ``add(node)``,
+    and ``remove_first()``, whose ``EmptyListError`` on an empty queue
+    ends the drain.  ``len`` and iteration are for inspection.
     """
 
     __slots__ = ("regions",)

@@ -557,12 +557,12 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
         return f"({text})" if prec < parent_prec else text
     if kind is Var:
         return e.name
-    if kind is IntLit:
+    if kind is IntLit and type(e.value) is int and 0 <= e.value <= I64_MAX:
         return str(e.value)
     if kind is Unary:
         text = e.op + format_expr(e.operand, _UNARY_PREC)
         return f"({text})" if _UNARY_PREC < parent_prec else text
-    raise TypeError(f"not an expression: {e!r}")
+    raise TypeError(f"not an expression the grammar can express: {e!r}")
 
 
 def _format_block(block: Seq, pad: str, out: list[str]):
@@ -600,8 +600,8 @@ def pretty_print(program: Program) -> str:
     """Emit canonical source text; reparsing it yields an equal AST.
 
     A tree the grammar cannot express (a ``Seq`` used as a statement, an
-    ``if`` or ``while`` branch that is not a ``Seq``, a foreign node)
-    raises ``TypeError``.
+    ``if`` or ``while`` branch that is not a ``Seq``, a literal that is
+    not an ``int`` in ``0..I64_MAX``, a foreign node) raises ``TypeError``.
     """
     if type(program) is not Program:
         raise TypeError(f"not a program: {program!r}")
@@ -638,8 +638,8 @@ def ast_to_json(node) -> str:
                 f'"left": {ast_to_json(node.left)}, "right": {ast_to_json(node.right)}}}')
     if kind is Var:
         return f'{{"kind": "var", "name": {_json_scalar(node.name)}}}'
-    if kind is IntLit:
-        return f'{{"kind": "int", "value": {_json_scalar(node.value)}}}'
+    if kind is IntLit and type(node.value) is int:
+        return f'{{"kind": "int", "value": {node.value}}}'
     if kind is Unary:
         return (f'{{"kind": "unary", "op": {_json_scalar(node.op)}, '
                 f'"operand": {ast_to_json(node.operand)}}}')

@@ -1,10 +1,14 @@
-"""Test helper: the two reference post queues, their in-place holder,
-and the audit of the production queue.
+"""Test helper: the two reference post queues, the log-and-replay check
+of the production queue against them, and the queue audits.
 
-The interpreter takes any queue updated in place through
-``Interpreter(program, postlist=...)``; the tests plug these two in,
-each wrapped in ``InPlace``, to cross-check the production
-``AsynchList``:
+The interpreter always runs on a new ``AsynchList``.  To cross-check its
+scheduler, a test swaps that queue's three region deques for
+``LoggedRegion``s before ``run()`` (``log_regions``): the production
+class runs unchanged, and each ``append`` and ``popleft`` goes into one
+shared log.  ``check_replay`` replays the log on both references.  The
+interpreter depends on its queue only through the nodes it removes, so
+if every removal is the reference's head, a run on the reference would
+have been the same run.
 
 * ``MarkerList`` is the paper's structure: one immutable tuple with the
   positions of the last high and last medium node as region-tail
@@ -12,18 +16,21 @@ each wrapped in ``InPlace``, to cross-check the production
   receiver untouched; each copies the tuple, so a drain is quadratic in
   queue depth.
 * ``OracleQueue`` is a deliberately naive reference (a flat bag
-  dequeued by a stable sort on ``(rank, seq)``) used to cross-check the
-  other two.
+  dequeued by a stable sort on ``(rank, seq)``), the model of
+  prioritized task buffers in one line.
 
 Both are immutable, with a functional API: ``add`` returns a new
-queue, and ``remove_first`` returns the head with the remainder.  Each
-audits itself with ``check_invariants``; ``check_regions`` audits an
-``AsynchList`` from outside, through its ``regions``, and ``audit``
-picks the right one for any queue under test.
+queue, and ``remove_first`` returns the head with the remainder;
+``InPlace`` holds one behind ``AsynchList``'s in-place calls, for the
+queue-level tests.  Each audits itself with ``check_invariants``;
+``check_regions`` audits an ``AsynchList`` from outside, through its
+``regions``, and ``audit`` picks the right one for any queue under
+test.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from priopost import AsynchNode, EmptyListError, Priority
@@ -151,12 +158,11 @@ class OracleQueue:
 
 
 class InPlace:
-    """An immutable reference queue behind the interpreter's in-place calls.
+    """An immutable reference queue behind ``AsynchList``'s in-place calls.
 
     ``add`` and ``remove_first`` rebind ``queue`` to the queue the
-    reference returns, so ``InPlace(MarkerList())`` can be passed as
-    ``Interpreter``'s ``postlist`` or tested beside ``AsynchList``.
-    Iteration (in dispatch order) reads the wrapped queue.
+    reference returns, so ``InPlace(MarkerList())`` can be tested beside
+    ``AsynchList``.  Iteration (in dispatch order) reads the wrapped queue.
     """
 
     __slots__ = ("queue",)
@@ -176,6 +182,51 @@ class InPlace:
     def remove_first(self) -> AsynchNode:
         node, self.queue = self.queue.remove_first()
         return node
+
+
+class LoggedRegion(deque):
+    """A region deque that logs each ``append`` and ``popleft``, with the
+    node, into the list ``log`` it shares with the other regions."""
+
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def append(self, node: AsynchNode):
+        self.log.append(("append", node))
+        super().append(node)
+
+    def popleft(self) -> AsynchNode:
+        node = super().popleft()
+        self.log.append(("popleft", node))
+        return node
+
+
+def log_regions(interp) -> list:
+    """Swap the three region deques of ``interp``'s (still empty) queue for
+    ``LoggedRegion``s; returns their shared log, filled as ``interp`` runs."""
+    log = []
+    interp.postlist.regions = (LoggedRegion(log), LoggedRegion(log), LoggedRegion(log))
+    return log
+
+
+def check_replay(log: list, left: tuple) -> None:
+    """Replay ``log`` on a new ``MarkerList`` and a new ``OracleQueue``.
+
+    Each logged ``popleft`` must have removed the very node the
+    reference's ``remove_first`` returns, and each reference must end
+    holding ``left``, the production queue's nodes in dispatch order.
+    Raises ``AssertionError`` at the first difference.
+    """
+    for queue in (MarkerList(), OracleQueue()):
+        for step, (call, node) in enumerate(log):
+            if call == "append":
+                queue = queue.add(node)
+            else:
+                head, queue = queue.remove_first()
+                assert head is node, f"{type(queue).__name__} at call {step}: {head} is not {node}"
+        assert queue.to_sequence() == left, f"{type(queue).__name__} ends unlike the run"
+        assert queue.check_invariants() == [], queue.check_invariants()
 
 
 def check_regions(queue) -> list[str]:

@@ -292,7 +292,8 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.read(10) == b'{"kind": "'
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert (proc.wait(timeout=60), stderr) == (2, "")
 
 

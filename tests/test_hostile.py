@@ -2,12 +2,13 @@
 ``MAX_DEPTH``, 64-bit edge arithmetic and budgets of 1-50, from
 ``progen.gen_hostile_cases``.
 
-Every run must end in ``Finished`` or ``Failed``, alike on every queue
-and with or without a trace, and leave a well-formed queue; every CLI
-call, on these programs and on mangled copies of them and of other
-sources, must exit 0, 1 or 2 without a traceback; stripping the dead
-posts of a program that finishes must not change what it does; and no
-run may leave cyclic garbage.
+Every run must end in ``Finished`` or ``Failed``, alike with or without
+a trace, with queue calls that replay on both reference queues, and
+leave a well-formed queue; every CLI call, on these programs and on
+mangled copies of them and of other sources, must exit 0, 1 or 2
+without a traceback; stripping the dead posts of a program that
+finishes must not change what it does; and no run may leave cyclic
+garbage.
 """
 
 import random
@@ -18,7 +19,6 @@ import pytest
 
 from priopost import (
     DEFAULT_BUDGET,
-    AsynchList,
     Failed,
     Finished,
     Interpreter,
@@ -42,8 +42,8 @@ from priopost.syntax import KEYWORDS
 from deadstrip import strip_dead_posts
 from progen import gen_hostile_cases, gen_programs
 from refjson import events
-from refqueues import InPlace, MarkerList, OracleQueue, audit
-from test_interp import cyclic_garbage, reference_jsonl, run_observed
+from refqueues import audit, check_replay, log_regions
+from test_interp import cyclic_garbage, observe, reference_jsonl
 
 CASES = gen_hostile_cases(seed=2323, count=1000)
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -67,13 +67,17 @@ def test_runs_end_alike_on_every_queue_with_or_without_a_trace(programs):
         assert type(out) in (Finished, Failed), source
         kinds.add(out.kind if type(out) is Failed else "finished")
         assert trace_to_jsonl(out) == reference_jsonl(out), source
-        queue = AsynchList()
-        untraced, trace = run_observed(program, budget, trace=False, postlist=queue)
-        assert trace == [] and audit(queue) == []
-        for queue in (InPlace(MarkerList()), InPlace(OracleQueue())):
-            state, trace = run_observed(program, budget, postlist=queue)
-            assert (state, trace) == (untraced, out.trace), source
-            assert audit(queue) == []
+        runs = []
+        for trace in (False, True):
+            interp = Interpreter(program, budget, trace=trace)
+            log = log_regions(interp)
+            runs.append((*observe(interp), log))
+            assert audit(interp.postlist) == [], source
+        (untraced, trace, log), (traced, traced_trace, traced_log) = runs
+        assert trace == [] and traced_trace == out.trace, source
+        assert (untraced, log) == (traced, traced_log), source
+        # Every dispatch removed the node that both references would have.
+        check_replay(log, tuple(interp.postlist))
     # The corpus reaches every outcome the interpreter has.
     assert kinds == {"finished", PROVIDED_FAILED, DIVISION_BY_ZERO, ARITH_OVERFLOW,
                      STEP_BUDGET_EXHAUSTED, CALL_DEPTH_EXCEEDED}

@@ -58,7 +58,7 @@ from priopost.interp import (
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
 from refjson import events, ref_event_to_dict
-from refqueues import InPlace, MarkerList, OracleQueue
+from refqueues import check_replay, log_regions
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -813,45 +813,19 @@ def test_identical_runs_produce_identical_traces():
     assert first == second
 
 
-def test_oracle_queue_drop_in_gives_identical_trace():
+def test_logged_run_replays_on_both_reference_queues():
     src = """
     global g;
     meth a(x) { if x { g := g + x; } else { synch(a(3), low); } }
     meth b(y) { synch(a(1), high); synch(a(2), medium); }
     """
-    prog = parse_program(src)
-    via_list = trace_to_jsonl(Interpreter(prog).run())
-    via_markers = trace_to_jsonl(Interpreter(prog, postlist=InPlace(MarkerList())).run())
-    via_oracle = trace_to_jsonl(Interpreter(prog, postlist=InPlace(OracleQueue())).run())
-    assert via_list == via_markers == via_oracle
-
-
-class RecordingQueue:
-    """A queue answering the two calls of the ``postlist=`` hook, logging
-    each, and logging any test of its length or truth too."""
-
-    def __init__(self):
-        self.calls = []
-        self.posted = []
-        self.inner = AsynchList()
-
-    def __len__(self):
-        self.calls.append("len")
-        return len(self.inner)
-
-    def __bool__(self):
-        self.calls.append("bool")
-        return bool(len(self.inner))
-
-    def add(self, node):
-        self.calls.append(("add", node.seq))
-        self.posted.append(node)
-        self.inner.add(node)  # returns None: the interpreter must not use it
-
-    def remove_first(self):
-        node = self.inner.remove_first()
-        self.calls.append(("remove_first", node.seq))
-        return node
+    interp = Interpreter(parse_program(src))
+    log = log_regions(interp)
+    assert trace_to_jsonl(interp.run()) == trace_to_jsonl(run_src(src))
+    assert [(call, node.seq) for call, node in log] == [
+        ("append", 1), ("append", 2), ("append", 3),
+        ("popleft", 2), ("popleft", 3), ("popleft", 1)]
+    check_replay(log, ())
 
 
 TWO_POSTS = ("global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
@@ -859,37 +833,33 @@ TWO_POSTS = ("global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
 
 
 def test_interpreter_makes_only_the_two_queue_calls():
-    queue = RecordingQueue()
-    interp = Interpreter(parse_program(TWO_POSTS), postlist=queue)
+    interp = Interpreter(parse_program(TWO_POSTS))
+    log = log_regions(interp)
     assert interp.run().global_value == 3
-    assert interp.postlist is queue
-    # Two adds at startup; then one removal per dispatch, and the drain ends
-    # on the EmptyListError of the third, which is not logged.
-    assert queue.calls == [("add", 1), ("add", 2), ("remove_first", 2), ("remove_first", 1)]
-
-
-def test_only_an_empty_queue_ends_the_drain():
-    class BrokenQueue(RecordingQueue):
-        def remove_first(self):
-            raise KeyError("broken")
-
-    with pytest.raises(KeyError, match="broken"):
-        Interpreter(parse_program(TWO_POSTS), postlist=BrokenQueue()).run()
+    assert type(interp.postlist) is AsynchList
+    # Two adds at startup, each one append to its region; then one popleft per
+    # dispatch.  The drain ends when the third ``remove_first`` finds every
+    # region empty, which pops nothing.
+    assert [(call, node.seq) for call, node in log] == [
+        ("append", 1), ("append", 2), ("popleft", 2), ("popleft", 1)]
 
 
 def test_posted_nodes_are_asynch_nodes():
     texts = [TWO_POSTS] + [path.read_text(encoding="utf-8")
                            for path in sorted(PROGRAMS.glob("*.ap"))]
     for text in texts:
-        queue = RecordingQueue()
-        Interpreter(parse_program(text), budget=10_000, postlist=queue).run()
-        for node in queue.posted:
+        interp = Interpreter(parse_program(text), budget=10_000)
+        log = log_regions(interp)
+        interp.run()
+        posted = [node for call, node in log if call == "append"]
+        for node in posted:
             assert type(node) is AsynchNode, text
             assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), text
-    queue = RecordingQueue()
-    Interpreter(parse_program(TWO_POSTS), postlist=queue).run()
-    assert queue.posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW, 1),
-                            AsynchNode("b", IntLit(2), 2, Priority.HIGH, 2)]
+        # ``seq`` counts the run's posts, 1, 2, 3 and so on.
+        assert [node.seq for node in posted] == list(range(1, len(posted) + 1)), text
+        if text is TWO_POSTS:
+            assert posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW, 1),
+                              AsynchNode("b", IntLit(2), 2, Priority.HIGH, 2)]
 
 
 @dataclass
@@ -979,10 +949,9 @@ def test_program_object_reruns_like_fresh_parses():
         assert program == parse_program(text)
 
 
-def run_observed(program, budget: int, **options):
-    """Outcome type and payload, step count and store of one run with
-    ``Interpreter``'s ``options``; and its trace."""
-    interp = Interpreter(program, budget=budget, **options)
+def observe(interp: Interpreter):
+    """Run ``interp``: the outcome's type and payload, the step count and
+    the store; and the trace."""
     out = interp.run()
     end = out.global_value if isinstance(out, Finished) else (out.kind, out.line, out.col)
     return (type(out), end, interp.step_count, interp.store), out.trace
@@ -994,8 +963,8 @@ def test_trace_off_matches_trace_on():
         full.run()
         # Half the step count also compares faults in the middle of a body.
         for budget in (DEFAULT_BUDGET, full.step_count // 2):
-            on, _ = run_observed(program, budget, trace=True)
-            off, trace = run_observed(program, budget, trace=False)
+            on, _ = observe(Interpreter(program, budget, trace=True))
+            off, trace = observe(Interpreter(program, budget, trace=False))
             assert off == on, pretty_print(program)
             assert trace == []
 

@@ -4,7 +4,7 @@ The queue's whole contract is "stable sort by (priority rank, post seq)".
 Hand-written cases pin down the production deque queue (``AsynchList``)
 and the paper's region/marker mechanics (``MarkerList``, on its own
 functional API).  The drain-order and oracle tests run every queue under
-the interpreter's in-place calls (``add``, ``remove_first`` and ``len``):
+``AsynchList``'s in-place calls (``add``, ``remove_first`` and ``len``):
 ``AsynchList``, and ``MarkerList`` and ``OracleQueue`` each wrapped in
 ``InPlace``, cross-checked against the brute-force ``OracleQueue``.
 The references and the audits (``audit`` and ``check_regions``) live in

@@ -698,6 +698,25 @@ def test_printers_take_exact_node_types_only(node):
         pretty_print(Program("g", [Method("m", "x", Seq([AssignGlobal("g", node)]))]))
 
 
+@pytest.mark.parametrize("literal", [
+    IntLit(True), IntLit(-5), IntLit(I64_MAX + 1), IntLit(7.0), IntLit("7"),
+], ids=["bool", "negative", "past-i64", "float", "str"])
+def test_printers_reject_literals_the_grammar_cannot_express(literal):
+    # ``True`` would reparse as a variable and ``-5`` as a negation of 5.
+    with pytest.raises(TypeError):
+        format_expr(literal)
+    with pytest.raises(TypeError):
+        pretty_print(Program("g", [Method("m", "x", Seq([AssignGlobal("g", literal)]))]))
+
+
+@pytest.mark.parametrize("value", [True, False, 7.0, "7", None])
+def test_ast_to_json_rejects_literals_that_are_not_ints(value):
+    with pytest.raises(TypeError):
+        ast_to_json(Seq([AssignGlobal("g", IntLit(value))]))
+    with pytest.raises(TypeError):
+        ast_to_dict(IntLit(value))
+
+
 @dataclass
 class SubclassedProgram(Program):
     pass
@@ -791,13 +810,13 @@ def test_ast_json_escapes_what_json_must(name):
 
 
 @pytest.mark.parametrize("tree", [
-    IntLit(True),
     IntLit(2**70),
     IntLit(-5),
     Binary("<>", IntLit(1), IntLit(2)),
     Unary('"', IntLit(1)),
     Binary(None, Var("x"), Var("y")),
-], ids=["bool", "big-int", "negative", "unknown-op", "quote-op", "none-op"])
+], ids=["big-int", "negative", "unknown-op", "quote-op", "none-op"])
 def test_ast_json_of_values_the_grammar_never_builds(tree):
+    # Still valid JSON; a literal that is not an int is a TypeError (above).
     assert_json_matches_reference(tree)
 
