@@ -22,7 +22,6 @@ from .interp import (
     run_program,
     trace_to_jsonl,
 )
-from .postlist import AsynchList, AsynchNode, EmptyListError
 from .syntax import (
     AssignGlobal,
     AssignLocal,
@@ -56,7 +55,6 @@ __all__ = [
     "AnalysisReport", "DeadPost", "PostEdge", "PostGraph", "dead_posts",
     "DEFAULT_BUDGET", "Failed", "Finished", "Interpreter", "Outcome",
     "run_program", "trace_to_jsonl",
-    "AsynchList", "AsynchNode", "EmptyListError",
     "AssignGlobal", "AssignLocal", "Binary", "Expr", "If", "IntLit",
     "Method", "ParseError", "Priority", "Program", "Provided", "Return",
     "Run", "ScopeError", "Seq", "Stmt", "Synch", "Unary", "Var", "While",

@@ -8,10 +8,10 @@ Execution has two phases:
    dispatched must guard its body on its local (which is 0 at
    startup).
 2. **Drain.** Posted calls are dispatched one at a time until the post
-   queue is empty: remove the head, bind the call's post-time argument
-   value to the target method's local, and run the body.  Calls posted
-   while draining join the queue at their priority and may overtake
-   earlier, lower-priority posts.
+   queue's three regions are empty: remove the head, bind the call's
+   post-time argument value to the target method's local, and run the
+   body.  Calls posted while draining join the queue at their priority
+   and may overtake earlier, lower-priority posts.
 
 Other load-bearing choices, all observable in the trace:
 
@@ -37,7 +37,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 
-from .postlist import AsynchList, AsynchNode, EmptyListError
+from .postlist import AsynchList, AsynchNode
 from .syntax import (
     I64_MAX,
     I64_MIN,
@@ -139,19 +139,12 @@ def _layout(kind: str, method: str | None, priority: Priority | None = None):
     return head + tail
 
 
-def _undeclared(stmt: Run | Synch):
-    """The closure of a ``run`` or ``synch`` to an undeclared method: it raises."""
-    def undeclared():
-        raise ValueError(f"method {stmt.method!r} is not declared")
-    return undeclared
-
-
 class Interpreter:
     """One program execution; fields are the live machine state.
 
-    ``store``, ``postlist``, ``stack``, ``step_count`` and ``trace``
-    stay inspectable after ``run`` returns, which the test suite uses
-    to audit terminal states.  ``postlist`` is always a new ``AsynchList``.
+    ``store``, ``postlist`` (a new ``AsynchList``; a run finishes when its three
+    regions are empty), ``stack``, ``step_count`` and ``trace`` stay inspectable
+    after ``run`` returns, which the test suite uses to audit terminal states.
 
     ``trace`` holds one JSON line per event.  With ``trace=False`` none is
     made: ``trace`` stays ``[]`` and so does the outcome's, while the outcome,
@@ -171,17 +164,18 @@ class Interpreter:
     closures take none but ``while``'s step at each return to its test.
     A statement calls its children's block closures, so one level of
     statement nesting costs one Python frame.  A ``Var`` is resolved to
-    its cell, and a ``run`` or ``synch`` to its target, when compiled;
-    an out-of-scope variable or undeclared target raises ``ValueError``
-    when it executes, a call before its argument.  A statement closure
-    returns ``True`` only if a ``return()`` ran in it; a block, ``if``
-    or ``while`` returns it at once, and the open activation pops its
-    frame and emits ``return`` either way.  A fault raises
-    ``ExecFailure`` with its node, read only to build ``Failed``.  Like
-    ``pretty_print``, ``run`` (not the constructor) rejects trees the
-    grammar cannot express: a block as a statement raises ``KeyError``,
-    as any foreign statement does, and a branch or body that is not a
-    ``Seq``, or a literal that is not an ``int``, raises ``TypeError``.
+    its cell, and a ``run`` or ``synch`` to its target, when compiled.
+    A statement closure returns ``True`` only if a ``return()`` ran in
+    it; a block, ``if`` or ``while`` returns it at once, and the open
+    activation pops its frame and emits ``return`` either way.  A fault
+    raises ``ExecFailure`` with its node, read only to build ``Failed``.
+    ``run`` (not the constructor) rejects every tree it cannot run when
+    the block holding it first compiles, before any of that block's
+    statements run: like ``pretty_print``, ``KeyError`` for a block as a
+    statement, as for any foreign statement, and ``TypeError`` for a branch
+    or body that is not a ``Seq`` or a literal that is not an ``int``; and,
+    a deliberate contract change, ``ValueError`` for an out-of-scope variable
+    or an undeclared ``run`` or ``synch`` target, checked before its argument.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -225,10 +219,7 @@ class Interpreter:
         if name == self.methods[method].local:
             cells = store.locals
             return lambda: cells[method]
-
-        def out_of_scope():
-            raise ValueError(f"variable {name!r} is not in scope of {method!r}")
-        return out_of_scope
+        raise ValueError(f"variable {name!r} is not in scope of {method!r}")
 
     def _compile_unary(self, expr: Unary, method: str):
         operand = _EXPR[type(expr.operand)](self, expr.operand, method)
@@ -368,7 +359,7 @@ class Interpreter:
 
     def _compile_run(self, stmt: Run, method: str):
         if stmt.method not in self.methods:
-            return _undeclared(stmt)
+            raise ValueError(f"method {stmt.method!r} is not declared")
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
         cells, stack, bodies, trace = self.store.locals, self.stack, self._bodies, self.trace
@@ -394,7 +385,7 @@ class Interpreter:
 
     def _compile_synch(self, stmt: Synch, method: str):
         if stmt.method not in self.methods:
-            return _undeclared(stmt)
+            raise ValueError(f"method {stmt.method!r} is not declared")
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
         arg_expr, priority = stmt.arg, stmt.priority
@@ -414,7 +405,7 @@ class Interpreter:
     # -- activations and whole runs --
 
     def run(self) -> Outcome:
-        """Startup phase, then drain; the program must be scope-valid."""
+        """Startup phase, then drain until the three regions are empty."""
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
         # however deep the caller's stack is: MAX_DEPTH frames per activation,
         # and two activations' worth to compile a block (its own statements and
@@ -444,13 +435,11 @@ class Interpreter:
                         trace.append(f'{{"seq": {len(trace) + 1}{returns[m.name]}')
                         trace.append(f'{{"seq": {len(trace) + 1}{_layout("method-end", m.name)}')
                 # Drain: highest priority first, FIFO within a priority, until
-                # ``remove_first`` finds the queue empty.
+                # the three regions are empty.
+                high, medium, low = self.postlist.regions
                 remove_first, cells = self.postlist.remove_first, self.store.locals
-                while True:
-                    try:
-                        method, arg_expr, value, priority, _ = remove_first()
-                    except EmptyListError:
-                        return Finished(self.store.global_value, self.trace)
+                while high or medium or low:
+                    method, arg_expr, value, priority, _ = remove_first()
                     if self.step_count >= budget:
                         raise ExecFailure(STEP_BUDGET_EXHAUSTED, arg_expr)
                     self.step_count += 1
@@ -466,6 +455,7 @@ class Interpreter:
                     stack.pop()
                     if tracing:
                         trace.append(f'{{"seq": {len(trace) + 1}{returns[method]}')
+                return Finished(self.store.global_value, self.trace)
             except ExecFailure as failure:
                 kind, node = failure.args
                 if self._tracing:

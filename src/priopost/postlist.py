@@ -6,7 +6,8 @@ head of the first region that is not empty, so the observable order is:
 ascending priority rank, first-posted first within a rank.
 
 ``AsynchList`` is that queue: one FIFO deque per region, updated in
-place, so ``add`` and ``remove_first`` are O(1) at any depth.
+place, so ``add`` and ``remove_first`` are O(1) at any depth.  The
+interpreter's drain ends when all three regions are empty.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from itertools import chain
 from typing import NamedTuple
 
 from .syntax import Expr, Priority
-
-
-class EmptyListError(Exception):
-    """Raised when removing from an empty post queue."""
 
 
 class AsynchNode(NamedTuple):
@@ -41,9 +38,9 @@ class AsynchList:
     """Production post queue: one FIFO deque per priority region.
 
     ``regions`` holds the high, medium and low deques, in dispatch
-    order.  The interpreter makes two calls on its queue: ``add(node)``,
-    and ``remove_first()``, whose ``EmptyListError`` on an empty queue
-    ends the drain.  ``len`` and iteration are for inspection.
+    order.  The interpreter makes two calls on its queue, ``add(node)``
+    and ``remove_first()``, and ends its drain when all three regions
+    are empty.  ``len`` and iteration are for inspection.
     """
 
     __slots__ = ("regions",)
@@ -71,8 +68,6 @@ class AsynchList:
         return self
 
     def remove_first(self) -> AsynchNode:
-        """Remove and return the head node."""
-        for region in self.regions:
-            if region:
-                return region.popleft()
-        raise EmptyListError("remove from empty post list")
+        """Remove and return the head node; ``IndexError`` on an empty queue."""
+        high, medium, low = self.regions
+        return (high or medium or low).popleft()

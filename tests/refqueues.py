@@ -20,7 +20,8 @@ have been the same run.
   prioritized task buffers in one line.
 
 Both are immutable, with a functional API: ``add`` returns a new
-queue, and ``remove_first`` returns the head with the remainder;
+queue, and ``remove_first`` returns the head with the remainder, or
+raises ``IndexError`` on an empty queue, as ``AsynchList``'s does;
 ``InPlace`` holds one behind ``AsynchList``'s in-place calls, for the
 queue-level tests.  Each audits itself with ``check_invariants``;
 ``check_regions`` audits an ``AsynchList`` from outside, through its
@@ -33,7 +34,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from priopost import AsynchNode, EmptyListError, Priority
+from priopost import Priority
+from priopost.postlist import AsynchNode
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class MarkerList:
     def remove_first(self) -> tuple[AsynchNode, "MarkerList"]:
         """Remove and return the head node together with the remainder."""
         if not self.nodes:
-            raise EmptyListError("remove from empty post list")
+            raise IndexError("remove from empty post list")
         head = self.nodes[0]
         high_tail = self.high_tail
         medium_tail = self.medium_tail
@@ -146,7 +148,7 @@ class OracleQueue:
 
     def remove_first(self) -> tuple[AsynchNode, "OracleQueue"]:
         if not self.entries:
-            raise EmptyListError("remove from empty post list")
+            raise IndexError("remove from empty post list")
         head = min(self.entries, key=lambda n: (n.priority.rank, n.seq))
         i = self.entries.index(head)
         return head, OracleQueue(self.entries[:i] + self.entries[i + 1:])

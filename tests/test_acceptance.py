@@ -19,8 +19,6 @@ import pytest
 
 from priopost import (
     DEFAULT_BUDGET,
-    AsynchList,
-    AsynchNode,
     Failed,
     Finished,
     IntLit,
@@ -33,6 +31,7 @@ from priopost import (
     trace_to_jsonl,
     validate_scopes,
 )
+from priopost.postlist import AsynchList, AsynchNode
 
 from deadstrip import strip_dead_posts
 from progen import gen_programs

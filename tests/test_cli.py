@@ -9,6 +9,7 @@ checked through real subprocesses.
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -336,6 +337,16 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def interruptible_child():
+    """In the child, before it execs: cap its address space at 1 GiB, so
+    that a run the signal does not stop cannot grow without bound; then
+    give SIGINT its default action.  A child of a parent that ignores
+    SIGINT (a shell's background job, say) inherits the ignore, and
+    Python then installs no ``KeyboardInterrupt`` handler."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
 def test_ctrl_c_exits_130_with_one_line(tmp_path):
     # Starting the process and importing the package take well under 0.3 s
@@ -345,7 +356,7 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "priopost.cli", "run", str(PROGRAMS / "count_forever.ap"),
          "--budget", "100000000", "--trace", str(trace)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, preexec_fn=interruptible_child)
     try:
         while cpu_seconds(proc.pid) < 0.3:
             assert proc.poll() is None
@@ -451,7 +462,7 @@ def test_readme_lists_every_exported_name():
     library = readme.split("\n## Library\n")[1].split("\n## ")[0]
     bullets = re.findall(r"^\* ([\w -]+): (.*?)[;.]$", library, re.M | re.S)
     assert [label for label, _ in bullets] == [
-        "syntax", "interpreter", "post queues", "dead-post analysis"]
+        "syntax", "interpreter", "dead-post analysis"]
     listed = [name for _, text in bullets for name in re.findall(r"`(\w+)`", text)]
     assert [name for name in priopost.__all__ if name not in listed] == []
     assert [name for name in listed if name not in priopost.__all__] == []

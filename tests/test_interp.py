@@ -21,8 +21,6 @@ from priopost import (
     DEFAULT_BUDGET,
     AssignGlobal,
     AssignLocal,
-    AsynchList,
-    AsynchNode,
     Binary,
     Expr,
     Failed,
@@ -55,6 +53,7 @@ from priopost.interp import (
     PROVIDED_FAILED,
     STEP_BUDGET_EXHAUSTED,
 )
+from priopost.postlist import AsynchList, AsynchNode
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs
 from refjson import events, ref_event_to_dict
@@ -837,9 +836,9 @@ def test_interpreter_makes_only_the_two_queue_calls():
     log = log_regions(interp)
     assert interp.run().global_value == 3
     assert type(interp.postlist) is AsynchList
-    # Two adds at startup, each one append to its region; then one popleft per
-    # dispatch.  The drain ends when the third ``remove_first`` finds every
-    # region empty, which pops nothing.
+    # Two adds at startup, each one append to its region; then one
+    # ``remove_first`` per dispatch, each one popleft.  The drain ends when
+    # every region is empty, with no third call.
     assert [(call, node.seq) for call, node in log] == [
         ("append", 1), ("append", 2), ("popleft", 2), ("popleft", 1)]
 
@@ -860,6 +859,35 @@ def test_posted_nodes_are_asynch_nodes():
         if text is TWO_POSTS:
             assert posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW, 1),
                               AsynchNode("b", IntLit(2), 2, Priority.HIGH, 2)]
+
+
+def test_a_finished_run_raises_no_exception():
+    # The drain ends because the three regions are empty, not on an exception
+    # that the interpreter raises and catches.
+    texts = [TWO_POSTS] + [path.read_text(encoding="utf-8")
+                           for path in sorted(PROGRAMS.glob("*.ap"))]
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append((frame.f_code.co_name, arg[0].__name__))
+        return tracer
+
+    finished = 0
+    for text in texts:
+        if not isinstance(run_src(text, budget=10_000), Finished):
+            continue
+        finished += 1
+        for trace in (True, False):
+            interp = Interpreter(parse_program(text), budget=10_000, trace=trace)
+            before = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                out = interp.run()
+            finally:
+                sys.settrace(before)
+            assert isinstance(out, Finished) and raised == [], text
+    assert finished == len(texts) - 2  # all but provided_zero.ap and count_forever.ap
 
 
 @dataclass
@@ -919,12 +947,15 @@ def test_code_that_never_runs_is_never_compiled(stmt):
     "global g; meth m(x) { provided 0; synch(nope(1), low); }",
     "global g; meth m(x) { provided 0; run nope(y); }",
 ], ids=["variable", "synch", "run"])
-def test_scope_faults_raise_only_when_executed(src):
-    # The fault before them ends the run first, as in a walker.
-    out = run_src(src)
-    assert isinstance(out, Failed) and out.kind == PROVIDED_FAILED
-    with pytest.raises(ValueError):
-        run_src(src.replace("provided 0; ", ""))
+def test_scope_faults_raise_when_their_block_compiles(src):
+    # The block compiles its statements before it takes its entry step, so the
+    # ``provided 0`` ahead of the fault never runs: no step, no provided-fail.
+    interp = Interpreter(parse_program(src))
+    with pytest.raises(ValueError, match="'y' is not in scope|'nope' is not declared"):
+        interp.run()
+    assert interp.step_count == 1
+    assert [json.loads(line) for line in interp.trace] == [
+        {"seq": 1, "kind": "method-start", "method": "m"}]
 
 
 def test_methods_sharing_one_body_read_their_own_locals():

@@ -16,13 +16,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from priopost import (
-    AsynchList,
-    AsynchNode,
-    EmptyListError,
-    IntLit,
-    Priority,
-)
+from priopost import IntLit, Priority
+from priopost.postlist import AsynchList, AsynchNode
 
 from refqueues import InPlace, MarkerList, OracleQueue, audit, check_regions
 
@@ -137,7 +132,7 @@ def test_remove_of_singleton_restores_empty(p):
 
 def test_remove_from_empty_raises():
     for make in IN_PLACE.values():
-        with pytest.raises(EmptyListError):
+        with pytest.raises(IndexError):
             make().remove_first()
 
 
