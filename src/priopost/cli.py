@@ -1,7 +1,7 @@
 """Command line front end: parse, run, and analyze ``.ap`` files.
 
-Exit codes: 0 success, 1 runtime fault, 2 parse or scope error, 130
-interrupted.
+Exit codes: 0 success, 1 runtime fault, 2 parse or scope error (or out
+of memory), 130 interrupted.
 Output is deterministic: the same file and flags produce byte-identical
 stdout and trace files.
 """
@@ -138,22 +138,25 @@ def main(argv=None) -> int:
 
 
 def entry():
+    message = None
     try:
         code = main()
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
     except KeyboardInterrupt:
-        with suppress(OSError):  # stderr may be unwritable too
-            print("error: interrupted", file=sys.stderr)
-        code = 130
+        code, message = 130, "error: interrupted"
+    except MemoryError:  # the traceback holds the run's trace until this block ends
+        code, message = 2, "error: out of memory"
     except OSError as err:
         # stdout or stderr cannot be written: exit with the code of an
         # unwritable trace file, quietly if the reader went away, and point
         # stdout at devnull so the exit flush succeeds.
         if not isinstance(err, BrokenPipeError):
-            with suppress(OSError):
-                print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+            message = f"error: cannot write stdout: {err.strerror}"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
+    if message:
+        with suppress(OSError):  # stderr may be unwritable too
+            print(message, file=sys.stderr)
     raise SystemExit(code)
 
 

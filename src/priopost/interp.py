@@ -171,11 +171,12 @@ class Interpreter:
     raises ``ExecFailure`` with its node, read only to build ``Failed``.
     ``run`` (not the constructor) rejects every tree it cannot run when
     the block holding it first compiles, before any of that block's
-    statements run: like ``pretty_print``, ``KeyError`` for a block as a
-    statement, as for any foreign statement, and ``TypeError`` for a branch
-    or body that is not a ``Seq`` or a literal that is not an ``int``; and,
-    a deliberate contract change, ``ValueError`` for an out-of-scope variable
-    or an undeclared ``run`` or ``synch`` target, checked before its argument.
+    statements run: like ``pretty_print``, ``KeyError`` for a foreign
+    statement (a block, say), and ``TypeError`` for a branch or body that
+    is not a ``Seq`` or a literal that is not an ``int``; and ``ValueError``
+    for a variable read or assigned out of scope, or an undeclared ``run``
+    or ``synch`` target, checked before its argument.  A duplicate method
+    or a local named as the global raises ``ValueError`` before the first step.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -201,7 +202,6 @@ class Interpreter:
         self.step_count = 0
         self.trace: list[str] = []
         self._tracing = trace
-        self._post_seq = 0
         self._bodies = {}
 
     # -- expressions: each compiles to a closure returning the value --
@@ -238,7 +238,7 @@ class Interpreter:
         lhs, rhs, store = expr.left, expr.right, self.store
         cells, glob, local = store.locals, self.program.global_name, self.methods[method].local
         k = rhs.value if type(rhs) is IntLit and type(rhs.value) is int else None
-        own = k is not None and type(lhs) is Var and lhs.name == local != glob
+        own = k is not None and type(lhs) is Var and lhs.name == local
         left = None if own else _EXPR[type(lhs)](self, lhs, method)
         right = None if k is not None else _EXPR[type(rhs)](self, rhs, method)
         if op in _TRUTH:
@@ -259,7 +259,7 @@ class Interpreter:
                 return lambda: v if I64_MIN <= (v := f(store.global_value, k)) <= I64_MAX else overflow()
             if right is None:
                 return lambda: v if I64_MIN <= (v := f(left(), k)) <= I64_MAX else overflow()
-            if type(rhs) is Var and rhs.name == local != glob:
+            if type(rhs) is Var and rhs.name == local:
                 return lambda: v if I64_MIN <= (v := f(left(), cells[method])) <= I64_MAX else overflow()
             return lambda: v if I64_MIN <= (v := f(left(), right())) <= I64_MAX else overflow()
         if op == "%" and k:
@@ -309,6 +309,8 @@ class Interpreter:
         return run_block
 
     def _compile_assign_global(self, stmt: AssignGlobal, method: str):
+        if stmt.name != self.program.global_name:
+            raise ValueError(f"variable {stmt.name!r} is not in scope of {method!r}")
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
         store, trace = self.store, self.trace
         text = self._tracing and _layout("assign-global", method)
@@ -321,6 +323,8 @@ class Interpreter:
         return assign_global
 
     def _compile_assign_local(self, stmt: AssignLocal, method: str):
+        if stmt.name != self.methods[method].local:
+            raise ValueError(f"variable {stmt.name!r} is not in scope of {method!r}")
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
         cells = self.store.locals
 
@@ -395,8 +399,7 @@ class Interpreter:
 
         def synch():
             v = arg()
-            self._post_seq += 1
-            add(new(AsynchNode, (callee, arg_expr, v, priority, self._post_seq)))
+            add(new(AsynchNode, (callee, arg_expr, v, priority)))
             if text:
                 head, tail = text
                 trace.append(f'{{"seq": {len(trace) + 1}{head}{v}{tail}')
@@ -406,6 +409,11 @@ class Interpreter:
 
     def run(self) -> Outcome:
         """Startup phase, then drain until the three regions are empty."""
+        if len(self.methods) < len(self.program.methods):  # the scope faults no block holds
+            raise ValueError("a method name is declared twice")
+        for m in self.program.methods:
+            if m.local == self.program.global_name:
+                raise ValueError(f"local {m.local!r} of {m.name!r} is the global's name")
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
         # however deep the caller's stack is: MAX_DEPTH frames per activation,
         # and two activations' worth to compile a block (its own statements and
@@ -439,7 +447,7 @@ class Interpreter:
                 high, medium, low = self.postlist.regions
                 remove_first, cells = self.postlist.remove_first, self.store.locals
                 while high or medium or low:
-                    method, arg_expr, value, priority, _ = remove_first()
+                    method, arg_expr, value, priority = remove_first()
                     if self.step_count >= budget:
                         raise ExecFailure(STEP_BUDGET_EXHAUSTED, arg_expr)
                     self.step_count += 1

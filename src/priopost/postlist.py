@@ -21,17 +21,12 @@ from .syntax import Expr, Priority
 
 
 class AsynchNode(NamedTuple):
-    """One posted call: target method, argument, and its post-time value.
-
-    ``seq`` is a program-wide counter (first post is 1) that breaks
-    priority ties first-come-first-served.
-    """
+    """One posted call: target method, argument, its post-time value and priority."""
 
     method: str
     arg_expr: Expr
     arg_value: int
     priority: Priority
-    seq: int
 
 
 class AsynchList:

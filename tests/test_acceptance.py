@@ -155,19 +155,19 @@ def test_a3_queue_oracle_equivalence():
     for _ in range(10_000):
         li = AsynchList()
         oracle = InPlace(OracleQueue())
-        seq = 0
+        label = 0  # each node's ``arg_value``, so no two are equal
         for _ in range(rng.randint(1, 100)):
             if not li or rng.random() < 0.6:
-                seq += 1
-                node = AsynchNode("m", arg, 0, rng.choice(priorities), seq)
+                label += 1
+                node = AsynchNode("m", arg, label, rng.choice(priorities))
                 li.add(node)
                 oracle.add(node)
             else:
-                assert li.remove_first() == oracle.remove_first()
+                assert li.remove_first() is oracle.remove_first()
         assert tuple(li) == tuple(oracle)
         assert check_regions(li) == []
         while li:
-            assert li.remove_first() == oracle.remove_first()
+            assert li.remove_first() is oracle.remove_first()
         assert len(oracle) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"

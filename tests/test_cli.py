@@ -370,6 +370,19 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path):
     assert not trace.exists()
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # A traced run keeps every event line in memory, so under a 256 MiB cap
+    # on the child's address space it runs out long before its budget.
+    trace = tmp_path / "t.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-m", "priopost.cli", "run", str(PROGRAMS / "count_forever.ap"),
+         "--budget", "100000000", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)))
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
+    assert not trace.exists()
+
+
 def test_analyze_is_deterministic_across_hash_seeds(tmp_path):
     # A 1,500-method synch chain: an analysis that recurses along the
     # chain from a start picked in set order fails for some hash seeds.

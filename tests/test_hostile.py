@@ -76,8 +76,9 @@ def test_runs_end_alike_on_every_queue_with_or_without_a_trace(programs):
         (untraced, trace, log), (traced, traced_trace, traced_log) = runs
         assert trace == [] and traced_trace == out.trace, source
         assert (untraced, log) == (traced, traced_log), source
-        # Every dispatch removed the node that both references would have.
-        check_replay(log, tuple(interp.postlist))
+        # Every dispatch removed the node that both references would have;
+        # ``interp`` is the traced run, so its queue is what ``traced_log`` left.
+        check_replay(traced_log, tuple(interp.postlist))
     # The corpus reaches every outcome the interpreter has.
     assert kinds == {"finished", PROVIDED_FAILED, DIVISION_BY_ZERO, ARITH_OVERFLOW,
                      STEP_BUDGET_EXHAUSTED, CALL_DEPTH_EXCEEDED}

@@ -43,6 +43,7 @@ from priopost import (
     pretty_print,
     run_program,
     trace_to_jsonl,
+    validate_scopes,
 )
 from priopost.cli import main
 from priopost.interp import (
@@ -821,9 +822,10 @@ def test_logged_run_replays_on_both_reference_queues():
     interp = Interpreter(parse_program(src))
     log = log_regions(interp)
     assert trace_to_jsonl(interp.run()) == trace_to_jsonl(run_src(src))
-    assert [(call, node.seq) for call, node in log] == [
-        ("append", 1), ("append", 2), ("append", 3),
-        ("popleft", 2), ("popleft", 3), ("popleft", 1)]
+    # Nodes are labelled by ``arg_value``: a(3) is posted at startup, then a(1) and a(2).
+    assert [(call, node.arg_value) for call, node in log] == [
+        ("append", 3), ("append", 1), ("append", 2),
+        ("popleft", 1), ("popleft", 2), ("popleft", 3)]
     check_replay(log, ())
 
 
@@ -839,7 +841,7 @@ def test_interpreter_makes_only_the_two_queue_calls():
     # Two adds at startup, each one append to its region; then one
     # ``remove_first`` per dispatch, each one popleft.  The drain ends when
     # every region is empty, with no third call.
-    assert [(call, node.seq) for call, node in log] == [
+    assert [(call, node.arg_value) for call, node in log] == [
         ("append", 1), ("append", 2), ("popleft", 2), ("popleft", 1)]
 
 
@@ -852,13 +854,13 @@ def test_posted_nodes_are_asynch_nodes():
         interp.run()
         posted = [node for call, node in log if call == "append"]
         for node in posted:
-            assert type(node) is AsynchNode, text
+            assert type(node) is AsynchNode and len(node) == 4, text
             assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), text
-        # ``seq`` counts the run's posts, 1, 2, 3 and so on.
-        assert [node.seq for node in posted] == list(range(1, len(posted) + 1)), text
         if text is TWO_POSTS:
-            assert posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW, 1),
-                              AsynchNode("b", IntLit(2), 2, Priority.HIGH, 2)]
+            # Four fields, in log order: no node carries a post number.
+            assert AsynchNode._fields == ("method", "arg_expr", "arg_value", "priority")
+            assert posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW),
+                              AsynchNode("b", IntLit(2), 2, Priority.HIGH)]
 
 
 def test_a_finished_run_raises_no_exception():
@@ -956,6 +958,42 @@ def test_scope_faults_raise_when_their_block_compiles(src):
     assert interp.step_count == 1
     assert [json.loads(line) for line in interp.trace] == [
         {"seq": 1, "kind": "method-start", "method": "m"}]
+
+
+def _one(stmt: Stmt) -> list[Method]:
+    return [Method("m", "x", Seq([stmt]))]
+
+
+# One tree per way ``validate_scopes`` rejects a name, each in code that runs:
+# (its ScopeError kind, the methods, the message, the steps taken).
+SCOPE_FAULTS = {
+    "read": ("unknown-variable", _one(AssignGlobal("g", Var("y"))), "'y' is not in scope", 1),
+    "assign-global": ("unknown-variable", _one(AssignGlobal("h", IntLit(1))), "'h' is not in scope", 1),
+    "assign-local": ("unknown-variable", _one(AssignLocal("y", IntLit(1))), "'y' is not in scope", 1),
+    "target": ("unknown-method", _one(Synch("nope", IntLit(1), Priority.LOW)), "'nope' is not declared", 1),
+    "duplicate": ("duplicate-method", [
+        Method("m", "x", Seq([AssignGlobal("g", IntLit(1))])),
+        Method("m", "x", Seq([AssignGlobal("g", Binary("+", Var("g"), IntLit(10)))]))],
+        "declared twice", 0),
+    "clash": ("global-local-clash", [Method("m", "g", Seq([AssignGlobal("g", IntLit(1))]))],
+              "'g' of 'm' is the global's name", 0),
+}
+
+
+@pytest.mark.parametrize("kind, methods, message, steps", SCOPE_FAULTS.values(), ids=list(SCOPE_FAULTS))
+def test_run_rejects_every_scope_fault(kind, methods, message, steps):
+    # A duplicate method or a local named as the global is rejected before the
+    # first step; any other fault where its block compiles, after the block's
+    # method-start.  Either way no statement runs: run, the duplicate-method
+    # tree would finish with 20, startup running the second body twice.
+    program = Program("g", methods)
+    assert [error.kind for error in validate_scopes(program)] == [kind]
+    interp = Interpreter(program)
+    with pytest.raises(ValueError, match=message):
+        interp.run()
+    assert interp.step_count == steps
+    assert [json.loads(line) for line in interp.trace] == [
+        {"seq": 1, "kind": "method-start", "method": "m"}][:steps]
 
 
 def test_methods_sharing_one_body_read_their_own_locals():
