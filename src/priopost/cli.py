@@ -22,7 +22,8 @@ from .syntax import ast_to_dict  # noqa: F401  (bench/spans.py's Tracer wraps it
 
 
 def _load_program(path: str) -> Program | None:
-    """Parse and scope-check a file; on failure print diagnostics and return None."""
+    """Read and parse a file, unchecked for scope; on failure print a diagnostic
+    and return None."""
     try:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
@@ -33,16 +34,10 @@ def _load_program(path: str) -> Program | None:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None
     try:
-        program = parse_program(source)
+        return parse_program(source)
     except ParseError as err:
         print(str(err), file=sys.stderr)
         return None
-    errors = validate_scopes(program)
-    if errors:
-        for err in errors:
-            print(str(err), file=sys.stderr)
-        return None
-    return program
 
 
 def cmd_parse(program: Program, emit_ast: bool = False) -> int:
@@ -56,7 +51,11 @@ def cmd_parse(program: Program, emit_ast: bool = False) -> int:
 def cmd_run(program: Program, budget: int = DEFAULT_BUDGET, trace_path: str | None = None,
             dump_final_store: bool = False) -> int:
     interp = Interpreter(program, budget=budget, trace=trace_path is not None)
-    outcome = interp.run()
+    try:
+        outcome = interp.run()
+    except ValueError as err:  # the scope check, before the run's first step
+        print(str(err), file=sys.stderr)
+        return 2
     if trace_path is not None:
         text = trace_to_jsonl(outcome)  # first, so Ctrl-C while it is made leaves no file
         try:
@@ -129,9 +128,13 @@ def main(argv=None) -> int:
     program = _load_program(args.file)
     if program is None:
         return 2
-    if args.command == "run":
+    if args.command == "run":  # run() checks scopes itself
         return cmd_run(program, budget=args.budget, trace_path=args.trace,
                        dump_final_store=args.dump_final_store)
+    errors = validate_scopes(program)
+    if errors:
+        print("\n".join(map(str, errors)), file=sys.stderr)
+        return 2
     if args.command == "parse":
         return cmd_parse(program, emit_ast=args.emit_ast)
     return cmd_analyze(program)

@@ -58,6 +58,7 @@ from .syntax import (
     Var,
     While,
     _json_scalar,
+    validate_scopes,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -169,14 +170,13 @@ class Interpreter:
     it; a block, ``if`` or ``while`` returns it at once, and the open
     activation pops its frame and emits ``return`` either way.  A fault
     raises ``ExecFailure`` with its node, read only to build ``Failed``.
-    ``run`` (not the constructor) rejects every tree it cannot run when
-    the block holding it first compiles, before any of that block's
-    statements run: like ``pretty_print``, ``KeyError`` for a foreign
-    statement (a block, say), and ``TypeError`` for a branch or body that
-    is not a ``Seq`` or a literal that is not an ``int``; and ``ValueError``
-    for a variable read or assigned out of scope, or an undeclared ``run``
-    or ``synch`` target, checked before its argument.  A duplicate method
-    or a local named as the global raises ``ValueError`` before the first step.
+    ``run`` (not the constructor) raises ``ValueError``, one error to a line,
+    exactly when ``validate_scopes`` rejects the tree, before its first step.
+    It rejects a tree the grammar cannot express when the block holding it
+    first compiles, before any of that block's statements run: like
+    ``pretty_print``, ``KeyError`` for a foreign statement (a block, say),
+    and ``TypeError`` for a branch or body that is not a ``Seq`` or a
+    literal that is not an ``int``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -213,13 +213,11 @@ class Interpreter:
         return lambda: value
 
     def _compile_var(self, expr: Var, method: str):
-        name, store = expr.name, self.store
-        if name == self.program.global_name:
+        store = self.store
+        if expr.name == self.program.global_name:
             return lambda: store.global_value
-        if name == self.methods[method].local:
-            cells = store.locals
-            return lambda: cells[method]
-        raise ValueError(f"variable {name!r} is not in scope of {method!r}")
+        cells = store.locals
+        return lambda: cells[method]
 
     def _compile_unary(self, expr: Unary, method: str):
         operand = _EXPR[type(expr.operand)](self, expr.operand, method)
@@ -309,8 +307,6 @@ class Interpreter:
         return run_block
 
     def _compile_assign_global(self, stmt: AssignGlobal, method: str):
-        if stmt.name != self.program.global_name:
-            raise ValueError(f"variable {stmt.name!r} is not in scope of {method!r}")
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
         store, trace = self.store, self.trace
         text = self._tracing and _layout("assign-global", method)
@@ -323,8 +319,6 @@ class Interpreter:
         return assign_global
 
     def _compile_assign_local(self, stmt: AssignLocal, method: str):
-        if stmt.name != self.methods[method].local:
-            raise ValueError(f"variable {stmt.name!r} is not in scope of {method!r}")
         expr = _EXPR[type(stmt.expr)](self, stmt.expr, method)
         cells = self.store.locals
 
@@ -362,8 +356,6 @@ class Interpreter:
         return while_
 
     def _compile_run(self, stmt: Run, method: str):
-        if stmt.method not in self.methods:
-            raise ValueError(f"method {stmt.method!r} is not declared")
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
         cells, stack, bodies, trace = self.store.locals, self.stack, self._bodies, self.trace
@@ -388,8 +380,6 @@ class Interpreter:
         return run
 
     def _compile_synch(self, stmt: Synch, method: str):
-        if stmt.method not in self.methods:
-            raise ValueError(f"method {stmt.method!r} is not declared")
         arg = _EXPR[type(stmt.arg)](self, stmt.arg, method)
         callee = stmt.method
         arg_expr, priority = stmt.arg, stmt.priority
@@ -409,11 +399,9 @@ class Interpreter:
 
     def run(self) -> Outcome:
         """Startup phase, then drain until the three regions are empty."""
-        if len(self.methods) < len(self.program.methods):  # the scope faults no block holds
-            raise ValueError("a method name is declared twice")
-        for m in self.program.methods:
-            if m.local == self.program.global_name:
-                raise ValueError(f"local {m.local!r} of {m.name!r} is the global's name")
+        errors = validate_scopes(self.program)
+        if errors:
+            raise ValueError("\n".join(map(str, errors)))
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
         # however deep the caller's stack is: MAX_DEPTH frames per activation,
         # and two activations' worth to compile a block (its own statements and

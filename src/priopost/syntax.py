@@ -489,18 +489,19 @@ class ScopeError:
         return f"{self.line}:{self.col} {self.kind}: {self.name}"
 
 
-def walk(node: Node):
-    """Yield the statement or expression ``node`` and every node below it,
-    in pre-order and source order.
+def walk(node: Node) -> list[Node]:
+    """The statement or expression ``node`` and every node below it, in
+    pre-order and source order.
 
     A statement comes before its expression, and that expression's nodes
     before the statement's nested blocks.  The walk keeps its own stack,
-    so it does not recurse.
+    so it does not recurse.  It returns a list: under a tracer, Python 3.13
+    reports a ``StopIteration`` wherever a ``for`` loop ends a generator.
     """
-    todo = [node]
+    nodes, todo = [], [node]
     while todo:
         node = todo.pop()
-        yield node
+        nodes.append(node)
         kind = type(node)
         if kind is Binary:
             todo += (node.right, node.left)
@@ -516,6 +517,7 @@ def walk(node: Node):
             todo.append(node.arg)
         elif kind is AssignGlobal or kind is AssignLocal or kind is Provided:
             todo.append(node.expr)
+    return nodes
 
 
 def validate_scopes(program: Program) -> list[ScopeError]:
@@ -599,12 +601,13 @@ def _format_block(block: Seq, pad: str, out: list[str]):
 def pretty_print(program: Program) -> str:
     """Emit canonical source text; reparsing it yields an equal AST.
 
-    A tree the grammar cannot express (a ``Seq`` used as a statement, an
-    ``if`` or ``while`` branch that is not a ``Seq``, a literal that is
-    not an ``int`` in ``0..I64_MAX``, a foreign node) raises ``TypeError``.
+    A tree the grammar cannot express (a program without methods, a ``Seq``
+    used as a statement, an ``if`` or ``while`` branch that is not a ``Seq``,
+    a literal that is not an ``int`` in ``0..I64_MAX``, a foreign node)
+    raises ``TypeError``.
     """
-    if type(program) is not Program:
-        raise TypeError(f"not a program: {program!r}")
+    if type(program) is not Program or not program.methods:
+        raise TypeError(f"not a program with a method: {program!r}")
     out = [f"global {program.global_name};\n"]
     for m in program.methods:
         if type(m) is not Method:

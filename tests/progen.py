@@ -19,6 +19,7 @@ random.Random, so a fixed seed reproduces the corpus exactly.
 from __future__ import annotations
 
 import random
+import re
 
 from priopost import (
     AssignGlobal,
@@ -38,7 +39,7 @@ from priopost import (
     Var,
     While,
 )
-from priopost.syntax import MAX_DEPTH
+from priopost.syntax import KEYWORDS, MAX_DEPTH
 
 MAX_METHODS = 5
 MAX_TOTAL_STMTS = 30
@@ -218,6 +219,19 @@ def gen_programs(seed: int, count: int) -> list[Program]:
     """Deterministic corpus of `count` programs."""
     rng = random.Random(seed)
     return [gen_program(rng) for _ in range(count)]
+
+
+def renamed(rng: random.Random, text: str) -> str:
+    """``text`` with some identifiers swapped for declared or unknown names."""
+    pool = ("g", "h", "m0", "m1", "m4", "v0", "v1", "v3", "zz")
+
+    def swap(match):
+        word = match.group(0)
+        if word in KEYWORDS or rng.random() >= 0.15:
+            return word
+        return rng.choice(pool)
+
+    return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", swap, text)
 
 
 # ---------------------------------------------------------------- graphs

@@ -38,10 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 from pathlib import Path
 
-from progen import gen_graph_source, gen_programs
+from progen import gen_graph_source, gen_programs, renamed
 
 from priopost import (
     DEFAULT_BUDGET,
@@ -55,7 +54,7 @@ from priopost import (
     trace_to_jsonl,
     validate_scopes,
 )
-from priopost.syntax import KEYWORDS, tokenize, walk
+from priopost.syntax import tokenize, walk
 
 HERE = Path(__file__).resolve().parent
 LOCK_FILE = HERE / "behaviour_lock.json"
@@ -200,19 +199,6 @@ def random_text(rng: random.Random) -> str:
     text = (f"global g; meth m(x) {{ g := {random_expr(rng, 4)}; "
             f"if {random_expr(rng, 3)} {{ x := {random_expr(rng, 3)}; }} else {{ }} }}")
     return mangled(rng, text) if rng.random() < 0.3 else text
-
-
-def renamed(rng: random.Random, text: str) -> str:
-    """``text`` with some identifiers swapped for declared or unknown names."""
-    pool = ("g", "h", "m0", "m1", "m4", "v0", "v1", "v3", "zz")
-
-    def swap(match):
-        word = match.group(0)
-        if word in KEYWORDS or rng.random() >= 0.15:
-            return word
-        return rng.choice(pool)
-
-    return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", swap, text)
 
 
 def front_end_digests() -> dict[str, str]:

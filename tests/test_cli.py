@@ -177,6 +177,37 @@ def test_run_scope_error_diagnostic(tmp_path, capsys):
     assert "unknown-variable" in err and "unknown-method" in err
 
 
+SCOPE_ERRORS = ("global g; meth m(x) { g := y; run nope(1); }\n"
+                "meth m(g) { synch(zz(1), low); }\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run",), ("run", "--trace", "{trace}"), ("parse",), ("parse", "--emit-ast"), ("analyze",),
+], ids=["run", "run-trace", "parse", "emit-ast", "analyze"])
+def test_each_request_checks_scopes_once(tmp_path, capsys, monkeypatch, argv):
+    # ``run`` leaves the check to Interpreter.run, the other commands make it
+    # in main: either way one walk per request, with the same diagnostics,
+    # exit code 2 and no trace file when it fails.
+    calls = []
+    for module in (priopost.cli, priopost.interp):
+        check = module.validate_scopes
+        monkeypatch.setattr(module, "validate_scopes",
+                            lambda program, check=check: calls.append(program) or check(program))
+    trace, bad = tmp_path / "t.jsonl", tmp_path / "bad.ap"
+    bad.write_text(SCOPE_ERRORS)
+    command, *flags = [a.format(trace=trace) for a in argv]
+    assert run_cli(command, PROGRAMS / "dead_logger.ap", *flags) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    trace.unlink(missing_ok=True)
+    assert run_cli(command, bad, *flags) == 2
+    assert len(calls) == 2
+    assert capsys.readouterr() == ("", "2:1 duplicate-method: m\n2:1 global-local-clash: g\n"
+                                       "1:28 unknown-variable: y\n1:31 unknown-method: nope\n"
+                                       "2:13 unknown-method: zz\n")
+    assert not trace.exists()
+
+
 # ------------------------------------------------------------------- parse
 
 def test_parse_prints_canonical_form(tmp_path, capsys):

@@ -9,6 +9,7 @@ Outcomes and traces are checked against hand-computed values.
 
 import gc
 import json
+import random
 import sys
 import threading
 from collections import deque
@@ -56,7 +57,7 @@ from priopost.interp import (
 )
 from priopost.postlist import AsynchList, AsynchNode
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
-from progen import gen_programs
+from progen import gen_programs, renamed
 from refjson import events, ref_event_to_dict
 from refqueues import check_replay, log_regions
 
@@ -77,6 +78,17 @@ def failure_kind(src: str, budget: int = 1_000_000) -> str:
     out = run_src(src, budget=budget)
     assert isinstance(out, Failed), out
     return out.kind
+
+
+def assert_scope_rejected(program: Program, message: str):
+    """``run()`` raises ``ValueError(message)``, validate_scopes's errors one to a
+    line, before its first step."""
+    assert message == "\n".join(map(str, validate_scopes(program)))
+    interp = Interpreter(program)
+    with pytest.raises(ValueError) as raised:
+        interp.run()
+    assert str(raised.value) == message
+    assert interp.step_count == 0 and interp.trace == []
 
 
 def events_of(src: str, kind: str):
@@ -254,13 +266,14 @@ def test_remainder_and_quotient_truncate_toward_zero(body, value):
     Binary("+", Var("x"), Var("y")),
 ], ids=["left-of-comparison", "left-of-modulo", "right"])
 def test_out_of_scope_leaf_raises_only_when_its_branch_runs(expr):
-    # Hand-built: validate_scopes would reject ``y``, so it is never called.
+    # Named for the rule it replaced: ``run()`` checks the whole tree with
+    # validate_scopes before its first step, so ``y`` is rejected whether or
+    # not its branch would run.
     def program(cond):
         return Program("g", [Method("m", "x", Seq([
             If(cond, Seq([AssignGlobal("g", expr)]), Seq([]))]))])
-    assert isinstance(run_program(program(Var("x"))), Finished)
-    with pytest.raises(ValueError, match="'y' is not in scope"):
-        run_program(program(IntLit(1)))
+    for cond in (Var("x"), IntLit(1)):
+        assert_scope_rejected(program(cond), "0:0 unknown-variable: y")
 
 
 @pytest.mark.parametrize("call", [Run, lambda m, arg: Synch(m, arg, Priority.HIGH)],
@@ -268,14 +281,14 @@ def test_out_of_scope_leaf_raises_only_when_its_branch_runs(expr):
 @pytest.mark.parametrize("arg", [IntLit(1), Binary("/", IntLit(1), IntLit(0))],
                          ids=["literal", "faulting"])
 def test_undeclared_target_raises_before_its_argument(call, arg):
-    # Hand-built: validate_scopes would reject ``nope``.  Its argument is never
-    # evaluated, so even one that would fault cannot turn the error into a Failed.
+    # Hand-built: validate_scopes rejects ``nope``, so no step is taken and its
+    # argument is never evaluated: even one that would fault cannot turn the
+    # error into a Failed, and a branch that would not run is rejected too.
     def program(cond):
         return Program("g", [Method("m", "x", Seq([
             If(cond, Seq([call("nope", arg)]), Seq([]))]))])
-    assert isinstance(run_program(program(Var("x"))), Finished)
-    with pytest.raises(ValueError, match="'nope' is not declared"):
-        run_program(program(IntLit(1)))
+    for cond in (Var("x"), IntLit(1)):
+        assert_scope_rejected(program(cond), "0:0 unknown-method: nope")
 
 
 # -------------------------------------------------------------- statements
@@ -817,15 +830,17 @@ def test_logged_run_replays_on_both_reference_queues():
     src = """
     global g;
     meth a(x) { if x { g := g + x; } else { synch(a(3), low); } }
-    meth b(y) { synch(a(1), high); synch(a(2), medium); }
+    meth b(y) { synch(a(1), high); synch(a(2), medium); synch(a(4), high); }
     """
     interp = Interpreter(parse_program(src))
     log = log_regions(interp)
     assert trace_to_jsonl(interp.run()) == trace_to_jsonl(run_src(src))
-    # Nodes are labelled by ``arg_value``: a(3) is posted at startup, then a(1) and a(2).
+    # Nodes are labelled by ``arg_value``: a(3) is posted at startup, then a(1),
+    # a(2) and a(4).  Two posts share the high region, so FIFO order within a
+    # region shows in the log and in the replay.
     assert [(call, node.arg_value) for call, node in log] == [
-        ("append", 3), ("append", 1), ("append", 2),
-        ("popleft", 1), ("popleft", 2), ("popleft", 3)]
+        ("append", 3), ("append", 1), ("append", 2), ("append", 4),
+        ("popleft", 1), ("popleft", 4), ("popleft", 2), ("popleft", 3)]
     check_replay(log, ())
 
 
@@ -944,20 +959,18 @@ def test_code_that_never_runs_is_never_compiled(stmt):
                            {"seq": 3, "kind": "method-end", "method": "m"}]
 
 
-@pytest.mark.parametrize("src", [
-    "global g; meth m(x) { provided 0; g := y; }",
-    "global g; meth m(x) { provided 0; synch(nope(1), low); }",
-    "global g; meth m(x) { provided 0; run nope(y); }",
+@pytest.mark.parametrize("src, message", [
+    ("global g; meth m(x) { provided 0; g := y; }", "1:40 unknown-variable: y"),
+    ("global g; meth m(x) { provided 0; synch(nope(1), low); }", "1:35 unknown-method: nope"),
+    ("global g; meth m(x) { provided 0; run nope(y); }",
+     "1:35 unknown-method: nope\n1:44 unknown-variable: y"),
 ], ids=["variable", "synch", "run"])
-def test_scope_faults_raise_when_their_block_compiles(src):
-    # The block compiles its statements before it takes its entry step, so the
-    # ``provided 0`` ahead of the fault never runs: no step, no provided-fail.
-    interp = Interpreter(parse_program(src))
-    with pytest.raises(ValueError, match="'y' is not in scope|'nope' is not declared"):
-        interp.run()
-    assert interp.step_count == 1
-    assert [json.loads(line) for line in interp.trace] == [
-        {"seq": 1, "kind": "method-start", "method": "m"}]
+def test_scope_faults_raise_when_their_block_compiles(src, message):
+    # Named for the rule it replaced: the fault is now rejected before the
+    # first step, so the ``provided 0`` ahead of it never runs and no
+    # method-start is written.  The message is validate_scopes's, one
+    # error to a line, as the CLI prints it.
+    assert_scope_rejected(parse_program(src), message)
 
 
 def _one(stmt: Stmt) -> list[Method]:
@@ -965,35 +978,50 @@ def _one(stmt: Stmt) -> list[Method]:
 
 
 # One tree per way ``validate_scopes`` rejects a name, each in code that runs:
-# (its ScopeError kind, the methods, the message, the steps taken).
+# (its ScopeError kind, the methods).
 SCOPE_FAULTS = {
-    "read": ("unknown-variable", _one(AssignGlobal("g", Var("y"))), "'y' is not in scope", 1),
-    "assign-global": ("unknown-variable", _one(AssignGlobal("h", IntLit(1))), "'h' is not in scope", 1),
-    "assign-local": ("unknown-variable", _one(AssignLocal("y", IntLit(1))), "'y' is not in scope", 1),
-    "target": ("unknown-method", _one(Synch("nope", IntLit(1), Priority.LOW)), "'nope' is not declared", 1),
+    "read": ("unknown-variable", _one(AssignGlobal("g", Var("y")))),
+    "assign-global": ("unknown-variable", _one(AssignGlobal("h", IntLit(1)))),
+    "assign-local": ("unknown-variable", _one(AssignLocal("y", IntLit(1)))),
+    "target": ("unknown-method", _one(Synch("nope", IntLit(1), Priority.LOW))),
     "duplicate": ("duplicate-method", [
         Method("m", "x", Seq([AssignGlobal("g", IntLit(1))])),
-        Method("m", "x", Seq([AssignGlobal("g", Binary("+", Var("g"), IntLit(10)))]))],
-        "declared twice", 0),
-    "clash": ("global-local-clash", [Method("m", "g", Seq([AssignGlobal("g", IntLit(1))]))],
-              "'g' of 'm' is the global's name", 0),
+        Method("m", "x", Seq([AssignGlobal("g", Binary("+", Var("g"), IntLit(10)))]))]),
+    "clash": ("global-local-clash", [Method("m", "g", Seq([AssignGlobal("g", IntLit(1))]))]),
 }
 
 
-@pytest.mark.parametrize("kind, methods, message, steps", SCOPE_FAULTS.values(), ids=list(SCOPE_FAULTS))
-def test_run_rejects_every_scope_fault(kind, methods, message, steps):
-    # A duplicate method or a local named as the global is rejected before the
-    # first step; any other fault where its block compiles, after the block's
-    # method-start.  Either way no statement runs: run, the duplicate-method
-    # tree would finish with 20, startup running the second body twice.
+@pytest.mark.parametrize("kind, methods", SCOPE_FAULTS.values(), ids=list(SCOPE_FAULTS))
+def test_run_rejects_every_scope_fault(kind, methods):
+    # Each is rejected before the first step, so no statement runs: run, the
+    # duplicate-method tree would finish with 20, startup running the second
+    # body twice.
     program = Program("g", methods)
-    assert [error.kind for error in validate_scopes(program)] == [kind]
-    interp = Interpreter(program)
-    with pytest.raises(ValueError, match=message):
-        interp.run()
-    assert interp.step_count == steps
-    assert [json.loads(line) for line in interp.trace] == [
-        {"seq": 1, "kind": "method-start", "method": "m"}][:steps]
+    errors = validate_scopes(program)
+    assert [error.kind for error in errors] == [kind]
+    assert_scope_rejected(program, str(errors[0]))
+
+
+def test_run_raises_exactly_when_validate_scopes_rejects():
+    # The SCOPE_FAULTS trees, then corpus programs with identifiers renamed
+    # at random as the behaviour lock renames them: every kind of scope fault,
+    # in code that runs and in code that never does.
+    corpus = [pretty_print(p) for p in gen_programs(20150100, 1000)]
+    rng = random.Random(20150130)
+    programs = [Program("g", methods) for _, methods in SCOPE_FAULTS.values()]
+    programs += [parse_program(renamed(rng, rng.choice(corpus))) for _ in range(2000)]
+    kinds, accepted = set(), 0
+    for program in programs:
+        errors = validate_scopes(program)
+        kinds.update(error.kind for error in errors)
+        if errors:
+            assert_scope_rejected(program, "\n".join(map(str, errors)))
+        else:
+            accepted += 1
+            assert isinstance(Interpreter(program, budget=10_000).run(), (Finished, Failed))
+    assert kinds == {"unknown-variable", "unknown-method", "duplicate-method",
+                     "global-local-clash"}
+    assert 100 < accepted < 1000
 
 
 def test_methods_sharing_one_body_read_their_own_locals():
