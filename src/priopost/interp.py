@@ -58,6 +58,8 @@ from .syntax import (
     Var,
     While,
     _json_scalar,
+    _pause_collector,
+    _resume_collector,
     validate_scopes,
 )
 
@@ -154,8 +156,9 @@ class Interpreter:
 
     Code runs as closures, compiled lazily and never kept on the AST.
     ``run`` makes them as it starts and drops them as it returns or
-    raises: they hold the interpreter, so a run leaves no cyclic
-    garbage, and a second ``run`` compiles afresh.  The block (``Seq``)
+    raises: they hold the interpreter, so a run leaves no cyclic garbage
+    (and pauses the cyclic collector while it goes), and a second
+    ``run`` compiles afresh.  The block (``Seq``)
     is the unit of compilation and of step accounting: each method body
     is one, and each ``if`` branch and ``while`` body one made when its
     statement is compiled.  A block compiles its own statements and
@@ -408,9 +411,10 @@ class Interpreter:
         # their expressions, never a nested block) and evaluate its deepest
         # expression.  The limit is process-wide, so runs in threads take turns.
         with _RUN_LOCK:
-            limit = sys.getrecursionlimit()
+            limit, paused = sys.getrecursionlimit(), []
             sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 2) * MAX_DEPTH)
             try:
+                _pause_collector(paused)
                 bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
                                          for m in self.program.methods}
                 stack, budget, tracing, trace = self.stack, self.budget, self._tracing, self.trace
@@ -462,6 +466,7 @@ class Interpreter:
             finally:
                 self._bodies.clear()  # so that reference counting frees the run
                 sys.setrecursionlimit(limit)
+                _resume_collector(paused)
 
 
 # The compile function for each node type, called as ``f(interp, node, method)``.

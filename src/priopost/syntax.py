@@ -45,8 +45,10 @@ operator), bisected from the line starts as the node is built.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import re
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
@@ -471,9 +473,36 @@ class _Parser:
         return left, height
 
 
+# A request (parse_program, Interpreter.run, cli.main) leaves no cyclic garbage, so
+# it pauses the collector meanwhile.  The lock makes each read-and-disable one step
+# against every re-enable, so that no interleaving of threads leaves the collector off.
+_COLLECTOR_LOCK = threading.Lock()
+
+
+def _pause_collector(paused: list[bool]) -> None:
+    """Disable the collector, first appending to ``paused`` whether it was on.  Call it
+    inside the ``try`` whose ``finally`` resumes, so that no exit leaves it off."""
+    with _COLLECTOR_LOCK:
+        paused.append(gc.isenabled())
+        gc.disable()
+
+
+def _resume_collector(paused: list[bool]) -> None:
+    """Enable the collector if ``_pause_collector`` found it on."""
+    if paused and paused[0]:
+        with _COLLECTOR_LOCK:
+            gc.enable()
+
+
 def parse_program(source: str) -> Program:
-    """Parse program text; raises ParseError (and nothing else) on bad input."""
-    return _Parser(source).parse_program()
+    """Parse program text; raises ParseError (and nothing else) on bad input.
+    The cyclic collector is paused while it runs."""
+    paused = []
+    try:
+        _pause_collector(paused)
+        return _Parser(source).parse_program()
+    finally:
+        _resume_collector(paused)
 
 
 # --- Scope validation ----------------------------------------------------

@@ -12,9 +12,11 @@ import json
 import random
 import sys
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,6 +48,7 @@ from priopost import (
     trace_to_jsonl,
     validate_scopes,
 )
+from priopost import syntax
 from priopost.cli import main
 from priopost.interp import (
     ARITH_OVERFLOW,
@@ -459,6 +462,47 @@ def test_runs_in_threads_share_the_recursion_limit():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(set(kinds)) == [CALL_DEPTH_EXCEEDED, "finished"] and len(kinds) == 120
+    assert sys.getrecursionlimit() == limit
+
+
+def test_parses_and_runs_in_threads_leave_the_collector_on(monkeypatch):
+    # The collector's state is process-wide too.  Each request reads it and
+    # turns it off in one locked step, so it is back on when all have ended.
+    # Unlocked, a request could read "off" inside another thread's pause and
+    # turn it off after that pause ended, for good.  A read of "off" here
+    # sleeps, so that the other pause has time to end: an unlocked copy of
+    # the rule was left off in 5 runs of 5.
+    def isenabled():
+        enabled = gc.isenabled()
+        if not enabled:
+            time.sleep(1e-4)
+        return enabled
+    monkeypatch.setattr(syntax, "gc", SimpleNamespace(
+        isenabled=isenabled, disable=gc.disable, enable=gc.enable))
+    long_run = parse_program("global g; meth m(x) { while g < 100000 { g := g + 1; } }")
+    limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+    ends = []
+
+    def short_requests():
+        for i in range(1000):
+            program = parse_program("global g; meth m(x) { g := 7; }")
+            if i % 10 == 9:
+                ends.append(run_program(program).global_value)
+
+    assert gc.isenabled()
+    threads = [threading.Thread(target=lambda: ends.append(run_program(long_run).global_value))]
+    threads += [threading.Thread(target=short_requests) for _ in range(2)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(ends) == [7] * 200 + [100000]
+    assert gc.isenabled()
     assert sys.getrecursionlimit() == limit
 
 
