@@ -1,14 +1,4 @@
-"""Test helper: the two reference post queues, the log-and-replay check
-of the production queue against them, and the queue audits.
-
-The interpreter always runs on a new ``AsynchList``.  To cross-check its
-scheduler, a test swaps that queue's three region deques for
-``LoggedRegion``s before ``run()`` (``log_regions``): the production
-class runs unchanged, and each ``append`` and ``popleft`` goes into one
-shared log.  ``check_replay`` replays the log on both references.  The
-interpreter depends on its queue only through the nodes it removes, so
-if every removal is the reference's head, a run on the reference would
-have been the same run.
+"""Test helper: the two reference post queues and the queue audits.
 
 * ``MarkerList`` is the paper's structure: one immutable tuple with the
   positions of the last high and last medium node as region-tail
@@ -20,8 +10,9 @@ have been the same run.
   of prioritized task buffers in one line.
 
 No node carries a post number: first-posted first within a priority is
-append order alone.  Two posts of the same call can be equal nodes, so
-the references and the replay match nodes by identity (``is``).
+append order alone.  ``check_trace`` (``tests/reftrace.py``) replays a
+run's trace on both, with nodes built from its ``post`` lines, so the
+production queue is checked from the trace alone.
 
 Both are immutable, with a functional API: ``add`` returns a new
 queue, and ``remove_first`` returns the head with the remainder, or
@@ -35,7 +26,6 @@ test.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from priopost import Priority
@@ -103,7 +93,7 @@ class MarkerList:
         """Audit region order and marker coherence.
 
         Returns a list of violation descriptions; empty means the list
-        is well formed.  FIFO order within a region is the replay's check.
+        is well formed.  FIFO order within a region is checked by ``check_trace``.
         """
         violations = []
         ranks = [n.priority.rank for n in self.nodes]
@@ -180,56 +170,9 @@ class InPlace:
         return node
 
 
-class LoggedRegion(deque):
-    """A region deque that logs each ``append`` and ``popleft``, with the
-    node, into the list ``log`` it shares with the other regions."""
-
-    def __init__(self, log: list):
-        super().__init__()
-        self.log = log
-
-    def append(self, node: AsynchNode):
-        self.log.append(("append", node))
-        super().append(node)
-
-    def popleft(self) -> AsynchNode:
-        node = super().popleft()
-        self.log.append(("popleft", node))
-        return node
-
-
-def log_regions(interp) -> list:
-    """Swap the three region deques of ``interp``'s (still empty) queue for
-    ``LoggedRegion``s; returns their shared log, filled as ``interp`` runs."""
-    log = []
-    interp.postlist.regions = (LoggedRegion(log), LoggedRegion(log), LoggedRegion(log))
-    return log
-
-
-def check_replay(log: list, left: tuple) -> None:
-    """Replay ``log`` on a new ``MarkerList`` and a new ``OracleQueue``.
-
-    Each logged ``popleft`` must have removed the very node (``is``) the
-    reference's ``remove_first`` returns, which checks FIFO order within
-    a region node by node, and each reference must end holding the very
-    nodes of ``left``, the production queue's nodes in dispatch order.
-    Raises ``AssertionError`` at the first difference.
-    """
-    for queue in (MarkerList(), OracleQueue()):
-        for step, (call, node) in enumerate(log):
-            if call == "append":
-                queue = queue.add(node)
-            else:
-                head, queue = queue.remove_first()
-                assert head is node, f"{type(queue).__name__} at call {step}: {head} is not {node}"
-        assert list(map(id, queue.to_sequence())) == list(map(id, left)), \
-            f"{type(queue).__name__} ends unlike the run"
-        assert queue.check_invariants() == [], queue.check_invariants()
-
-
 def check_regions(queue) -> list[str]:
     """Audit an ``AsynchList``'s ``regions``: each node is in its priority's
-    region.  FIFO order within a region is the replay's check.
+    region.  FIFO order within a region is checked by ``check_trace``.
 
     Returns a list of violation descriptions; empty means the queue is
     well formed.

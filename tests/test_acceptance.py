@@ -3,9 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 Every criterion is checked against an independent oracle: hand-computed
 traces for the targeted programs, the brute-force ``OracleQueue`` for
-queue order, a replay of each run's logged queue calls on it and on the
-paper's ``MarkerList`` (both from ``tests/refqueues.py``), a reparse
-oracle for printing, and differential runs for the dead-post analysis.
+queue order, ``check_trace`` (``tests/reftrace.py``) for each run's
+trace, which replays its posts and dispatches on ``OracleQueue`` and on
+the paper's ``MarkerList`` and checks its brackets, a reparse oracle for
+printing, and differential runs for the dead-post analysis.
 Randomized corpora use fixed seeds, so results are reproducible byte
 for byte.
 """
@@ -36,7 +37,8 @@ from priopost.postlist import AsynchList, AsynchNode
 from deadstrip import strip_dead_posts
 from progen import gen_programs
 from refjson import events
-from refqueues import InPlace, OracleQueue, check_regions, check_replay, log_regions
+from refqueues import InPlace, OracleQueue, check_regions
+from reftrace import check_trace
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -175,19 +177,17 @@ def test_a3_queue_oracle_equivalence():
 
 # --------------------------------------------------------------------- A4
 
-@criterion("A4", "the deque queue's logged runs replay on the marker and oracle queues")
+@criterion("A4", "each trace's dispatches replay on the marker and oracle queues")
 def test_a4_scheduler_representation_equivalence(corpus):
     samples = [(parse_program(path.read_text(encoding="utf-8")), 10_000)
                for path in sorted(PROGRAMS.glob("*.ap"))]
     for program, budget in [(p, DEFAULT_BUDGET) for p in corpus] + samples:
         interp = Interpreter(program, budget)
-        log = log_regions(interp)
         outcome = interp.run()
-        left = tuple(interp.postlist)
-        assert left == () or isinstance(outcome, Failed), pretty_print(program)
-        # Each dispatch removed the node either reference would have removed,
-        # so a run on either would have made this run's trace, byte for byte.
-        check_replay(log, left)
+        assert len(interp.postlist) == 0 or isinstance(outcome, Failed), pretty_print(program)
+        # Each dispatch line is the head both references hold, so a run on
+        # either would have written this trace, byte for byte.
+        check_trace(trace_to_jsonl(outcome).splitlines())
 
 
 # --------------------------------------------------------------------- A5
@@ -217,42 +217,12 @@ def test_a6_determinism(corpus):
 
 # --------------------------------------------------------------------- A7
 
-def stack_disciplined(outcome) -> bool:
-    """Replay the trace's bracket structure.
-
-    Startup activations and dispatches open a frame at depth zero,
-    run-calls nest, and every frame closes with exactly one return
-    naming it; a method-end may only appear once its frame is closed.
-    """
-    sim = []
-    for ev in events(outcome):
-        kind = ev["kind"]
-        if kind in ("method-start", "dispatch"):
-            if sim:
-                return False
-            sim.append(ev["method"])
-        elif kind == "run-call":
-            if not sim:
-                return False
-            sim.append(ev["method"])
-        elif kind == "return":
-            if not sim or sim[-1] != ev["method"]:
-                return False
-            sim.pop()
-        elif kind == "method-end":
-            if sim:
-                return False
-        elif kind in ("provided-fail", "error"):
-            return True  # aborted mid-frame; prefix was consistent
-    return not sim if isinstance(outcome, Finished) else True
-
-
-@criterion("A7", "stack discipline and terminal form on the whole corpus")
+@criterion("A7", "each trace's brackets nest, and a finished run ends empty")
 def test_a7_stack_discipline_and_terminal_form(corpus):
     for program in corpus:
         interp = Interpreter(program)
         outcome = interp.run()
-        assert stack_disciplined(outcome), pretty_print(program)
+        check_trace(trace_to_jsonl(outcome).splitlines())
         if isinstance(outcome, Finished):
             assert len(interp.postlist) == 0, pretty_print(program)
             assert interp.stack == [], pretty_print(program)

@@ -24,6 +24,7 @@ from priopost import (
 )
 from priopost.cli import main
 
+from reftrace import check_trace
 from test_interp import cyclic_garbage
 from test_syntax import DEEP_PROBES
 
@@ -90,7 +91,8 @@ def test_run_writes_trace_file(tmp_path, capsys):
 def test_run_trace_file_matches_library_trace(tmp_path, capsys, path):
     # Library traces are pinned by the behaviour lock; the CLI must write
     # the same bytes, and print the same with or without --trace.  A
-    # budget of 10,000 keeps count_forever's trace small.
+    # budget of 10,000 keeps count_forever's trace small.  The file passes
+    # check_trace.
     trace = tmp_path / "out.jsonl"
     code = run_cli("run", path, "--budget", 10_000, "--trace", trace)
     traced_out = capsys.readouterr().out
@@ -99,6 +101,7 @@ def test_run_trace_file_matches_library_trace(tmp_path, capsys, path):
     program = parse_program(path.read_text(encoding="utf-8"))
     expected = trace_to_jsonl(run_program(program, budget=10_000))
     assert trace.read_bytes() == expected.encode("utf-8")
+    check_trace(trace.read_text(encoding="utf-8").splitlines())
 
 
 def test_run_trace_written_even_on_failure(tmp_path, capsys):

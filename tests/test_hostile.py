@@ -3,10 +3,11 @@
 ``progen.gen_hostile_cases``.
 
 Every run must end in ``Finished`` or ``Failed``, alike with or without
-a trace, with queue calls that replay on both reference queues, and
-leave a well-formed queue; every CLI call, on these programs and on
-mangled copies of them and of other sources, must exit 0, 1 or 2
-without a traceback; stripping the dead posts of a program that
+a trace down to the posts it leaves, with a trace that passes
+``check_trace`` (``tests/reftrace.py``), and leave a well-formed queue;
+every CLI call, on these programs and on mangled copies of them and of
+other sources, must exit 0, 1 or 2 without a traceback, and write a
+``--trace`` file that passes ``check_trace``; stripping the dead posts of a program that
 finishes must not change what it does; and no run may leave cyclic
 garbage.
 """
@@ -42,7 +43,8 @@ from priopost.syntax import KEYWORDS
 from deadstrip import strip_dead_posts
 from progen import gen_hostile_cases, gen_programs
 from refjson import events
-from refqueues import audit, check_replay, log_regions
+from refqueues import audit
+from reftrace import check_trace
 from test_interp import cyclic_garbage, observe, reference_jsonl
 
 CASES = gen_hostile_cases(seed=2323, count=1000)
@@ -67,18 +69,15 @@ def test_runs_end_alike_on_every_queue_with_or_without_a_trace(programs):
         assert type(out) in (Finished, Failed), source
         kinds.add(out.kind if type(out) is Failed else "finished")
         assert trace_to_jsonl(out) == reference_jsonl(out), source
+        check_trace(trace_to_jsonl(out).splitlines())
         runs = []
         for trace in (False, True):
             interp = Interpreter(program, budget, trace=trace)
-            log = log_regions(interp)
-            runs.append((*observe(interp), log))
+            runs.append((*observe(interp), tuple(interp.postlist)))
             assert audit(interp.postlist) == [], source
-        (untraced, trace, log), (traced, traced_trace, traced_log) = runs
+        (untraced, trace, left), (traced, traced_trace, traced_left) = runs
         assert trace == [] and traced_trace == out.trace, source
-        assert (untraced, log) == (traced, traced_log), source
-        # Every dispatch removed the node that both references would have;
-        # ``interp`` is the traced run, so its queue is what ``traced_log`` left.
-        check_replay(traced_log, tuple(interp.postlist))
+        assert (untraced, left) == (traced, traced_left), source
     # The corpus reaches every outcome the interpreter has.
     assert kinds == {"finished", PROVIDED_FAILED, DIVISION_BY_ZERO, ARITH_OVERFLOW,
                      STEP_BUDGET_EXHAUSTED, CALL_DEPTH_EXCEEDED}
@@ -106,6 +105,8 @@ def test_cli_exits_0_1_or_2_on_hostile_files(programs, tmp_path, capsys):
                 code = main([str(a) for a in argv])
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2) and "Traceback" not in err, (argv, text)
+                if "--trace" in argv and code != 2:  # exit 0 or 1 wrote the file
+                    check_trace(trace.read_text(encoding="utf-8").splitlines())
                 if text == source.encode():
                     assert err == ""
                     assert code == (1 if argv[0] == "run" and type(out) is Failed else 0)

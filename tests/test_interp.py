@@ -62,7 +62,7 @@ from priopost.postlist import AsynchList, AsynchNode
 from priopost.syntax import I64_MAX, I64_MIN, MAX_DEPTH
 from progen import gen_programs, renamed
 from refjson import events, ref_event_to_dict
-from refqueues import check_replay, log_regions
+from reftrace import check_trace
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -574,6 +574,7 @@ def test_step_rule(trace):
     for budget in range(1, 18):
         out = Interpreter(program, budget=budget, trace=trace).run()
         assert (out.kind, out.line, out.col) == (STEP_BUDGET_EXHAUSTED, *STEP_RULE_STEPS[budget])
+        check_trace(out.trace)  # a trace cut off by a fault passes
     assert isinstance(Interpreter(program, budget=18, trace=trace).run(), Finished)
 
 
@@ -870,56 +871,71 @@ def test_identical_runs_produce_identical_traces():
     assert first == second
 
 
-def test_logged_run_replays_on_both_reference_queues():
+def test_trace_checker_passes_a_run_and_rejects_edited_copies():
     src = """
     global g;
     meth a(x) { if x { g := g + x; } else { synch(a(3), low); } }
     meth b(y) { synch(a(1), high); synch(a(2), medium); synch(a(4), high); }
     """
-    interp = Interpreter(parse_program(src))
-    log = log_regions(interp)
-    assert trace_to_jsonl(interp.run()) == trace_to_jsonl(run_src(src))
-    # Nodes are labelled by ``arg_value``: a(3) is posted at startup, then a(1),
-    # a(2) and a(4).  Two posts share the high region, so FIFO order within a
-    # region shows in the log and in the replay.
-    assert [(call, node.arg_value) for call, node in log] == [
-        ("append", 3), ("append", 1), ("append", 2), ("append", 4),
-        ("popleft", 1), ("popleft", 4), ("popleft", 2), ("popleft", 3)]
-    check_replay(log, ())
+    lines = trace_to_jsonl(run_src(src)).splitlines()
+    # Nodes are labelled by value: a(3) is posted at startup, then a(1), a(2)
+    # and a(4).  Two posts share the high region, so FIFO order within a
+    # region shows in the dispatch order.
+    dispatches = [n for n, line in enumerate(lines) if '"dispatch"' in line]
+    assert [json.loads(lines[n])["value"] for n in dispatches] == [1, 4, 2, 3]
+    for end in range(len(lines) + 1):
+        check_trace(lines[:end])  # every prefix: a run cut off there
+    first, second = dispatches[:2]
+    swapped = lines.copy()
+    swapped[first], swapped[second] = lines[second], lines[first]
+    assert json.loads(lines[first + 2])["kind"] == "return"
+    for edited in (swapped,
+                   lines[:first + 2] + lines[first + 3:],  # a's return dropped
+                   lines[:first + 1] + ['{"kind": "error"}'],  # a fault naming no frame
+                   lines + lines[-1:]):  # a line after the finished line
+        with pytest.raises(AssertionError):
+            check_trace(edited)
+
+
+EQUAL_POSTS = ("global g;\nmeth m(x) {\n    if x { } else {\n"
+               "        synch(m(1), low);\n        synch(m(1), low);\n    }\n}\n")
+
+
+def test_equal_posts_dispatch_in_post_order():
+    # The two posts of m(1) write identical trace lines, so check_trace cannot
+    # tell which one a dispatch removed.  A step-budget fault at dispatch
+    # reports the removed post's argument: budget 6 stops the first dispatch
+    # and budget 10 the second.
+    program = parse_program(EQUAL_POSTS)
+    for budget, line in ((6, 4), (10, 5)):
+        out = Interpreter(program, budget=budget).run()
+        assert (out.kind, out.line, out.col) == (STEP_BUDGET_EXHAUSTED, line, 17)
+        check_trace(out.trace)
 
 
 TWO_POSTS = ("global g; meth a(x) { synch(b(1), low); synch(b(2), high); }"
              " meth b(y) { g := g + y; }")
 
 
-def test_interpreter_makes_only_the_two_queue_calls():
-    interp = Interpreter(parse_program(TWO_POSTS))
-    log = log_regions(interp)
-    assert interp.run().global_value == 3
-    assert type(interp.postlist) is AsynchList
-    # Two adds at startup, each one append to its region; then one
-    # ``remove_first`` per dispatch, each one popleft.  The drain ends when
-    # every region is empty, with no third call.
-    assert [(call, node.arg_value) for call, node in log] == [
-        ("append", 1), ("append", 2), ("popleft", 2), ("popleft", 1)]
-
-
 def test_posted_nodes_are_asynch_nodes():
-    texts = [TWO_POSTS] + [path.read_text(encoding="utf-8")
-                           for path in sorted(PROGRAMS.glob("*.ap"))]
-    for text in texts:
-        interp = Interpreter(parse_program(text), budget=10_000)
-        log = log_regions(interp)
-        interp.run()
-        posted = [node for call, node in log if call == "append"]
-        for node in posted:
-            assert type(node) is AsynchNode and len(node) == 4, text
-            assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), text
-        if text is TWO_POSTS:
-            # Four fields, in log order: no node carries a post number.
-            assert AsynchNode._fields == ("method", "arg_expr", "arg_value", "priority")
-            assert posted == [AsynchNode("b", IntLit(1), 1, Priority.LOW),
-                              AsynchNode("b", IntLit(2), 2, Priority.HIGH)]
+    # Budget 4 stops TWO_POSTS at b's startup, after a's two posts, so both
+    # wait in the queue, in dispatch order.
+    interp = Interpreter(parse_program(TWO_POSTS), budget=4)
+    assert interp.run().kind == STEP_BUDGET_EXHAUSTED
+    assert type(interp.postlist) is AsynchList
+    # Four fields: no node carries a post number.
+    assert AsynchNode._fields == ("method", "arg_expr", "arg_value", "priority")
+    assert tuple(interp.postlist) == (AsynchNode("b", IntLit(2), 2, Priority.HIGH),
+                                      AsynchNode("b", IntLit(1), 1, Priority.LOW))
+    # The nodes each sample program leaves when a budget of 1-39 stops it.
+    for path in sorted(PROGRAMS.glob("*.ap")):
+        program = parse_program(path.read_text(encoding="utf-8"))
+        for budget in range(1, 40):
+            interp = Interpreter(program, budget=budget)
+            interp.run()
+            for node in interp.postlist:
+                assert type(node) is AsynchNode and len(node) == 4, path
+                assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), path
 
 
 def test_a_finished_run_raises_no_exception():

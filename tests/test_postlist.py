@@ -168,7 +168,7 @@ def test_invariants_ok_on_constructed_lists():
 
 def test_asynch_list_invariants_detect_each_fault():
     # Region membership is the one fault ``check_regions`` audits; FIFO
-    # order within a region is checked by replaying a run's log.
+    # order within a region is checked from a run's trace, by ``check_trace``.
     wrong_region = build(H, M)
     wrong_region.regions[0].append(node(L, 3))
     assert check_regions(wrong_region) == ["node 1 of the rank-1 region has rank 3"]
