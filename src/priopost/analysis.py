@@ -28,14 +28,12 @@ containing division or modulo are left alone.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .syntax import (
     AssignGlobal,
     Binary,
     Expr,
-    Priority,
     Program,
     Provided,
     Run,
@@ -45,16 +43,10 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PostEdge:
+# ``kind`` is "run" or "post", and ``priority`` is ``None`` for a run.
+class PostEdge(namedtuple("PostEdge", "src dst kind priority line col")):
     """One syntactic run or synch statement, poster to target."""
-
-    src: str
-    dst: str
-    kind: str  # "run" | "post"
-    priority: Priority | None
-    line: int
-    col: int
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         obj: dict = {"from": self.src, "to": self.dst, "kind": self.kind}
@@ -65,29 +57,19 @@ class PostEdge:
         return obj
 
 
-@dataclass
-class PostGraph:
-    vertices: list[str]
-    edges: list[PostEdge]
+PostGraph = namedtuple("PostGraph", "vertices edges")
 
 
-@dataclass(frozen=True)
-class DeadPost:
+class DeadPost(namedtuple("DeadPost", "method line col")):
     """Location of a flagged synch statement; ``method`` is the target."""
-
-    method: str
-    line: int
-    col: int
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"method": self.method, "line": self.line, "col": self.col}
 
 
-@dataclass
-class AnalysisReport:
-    effect_free: set[str]
-    dead_posts: list[DeadPost]
-    graph: PostGraph
+class AnalysisReport(namedtuple("AnalysisReport", "effect_free dead_posts graph")):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

@@ -35,6 +35,7 @@ from __future__ import annotations
 import operator
 import sys
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .postlist import AsynchList, AsynchNode
@@ -91,22 +92,14 @@ class Store:
     locals: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class Finished:
+class Finished(namedtuple("Finished", "global_value trace")):
     """Normal termination: post queue drained, stack empty; ``trace`` holds its event lines."""
-
-    global_value: int
-    trace: list[str]
+    __slots__ = ()
 
 
-@dataclass
-class Failed:
+class Failed(namedtuple("Failed", "kind line col trace")):
     """Aborted run; ``kind`` is a runtime fault kind above, ``trace`` its event lines."""
-
-    kind: str
-    line: int
-    col: int
-    trace: list[str]
+    __slots__ = ()
 
 
 Outcome = Finished | Failed
@@ -438,10 +431,10 @@ class Interpreter:
                 # the three regions are empty.
                 high, medium, low = self.postlist.regions
                 remove_first, cells = self.postlist.remove_first, self.store.locals
-                while high or medium or low:
-                    method, arg_expr, value, priority = remove_first()
-                    if self.step_count >= budget:
-                        raise ExecFailure(STEP_BUDGET_EXHAUSTED, arg_expr)
+                while region := high or medium or low:
+                    if self.step_count >= budget:  # the call stays queued
+                        raise ExecFailure(STEP_BUDGET_EXHAUSTED, region[0].arg_expr)
+                    method, _, value, priority = remove_first()
                     self.step_count += 1
                     cells[method] = value
                     if tracing:

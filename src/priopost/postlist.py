@@ -12,21 +12,14 @@ interpreter's drain ends when all three regions are empty.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from itertools import chain
-from typing import NamedTuple
-
-from .syntax import Expr, Priority
 
 
-class AsynchNode(NamedTuple):
+class AsynchNode(namedtuple("AsynchNode", "method arg_expr arg_value priority")):
     """One posted call: target method, argument, its post-time value and priority."""
-
-    method: str
-    arg_expr: Expr
-    arg_value: int
-    priority: Priority
+    __slots__ = ()
 
 
 class AsynchList:

@@ -50,10 +50,10 @@ import json
 import re
 import threading
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 from operator import add
-from typing import NamedTuple
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -206,11 +206,8 @@ class Program(Node):
 
 # --- Lexer -------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "keyword", "punct", "eof"
-    text: str
-    line: int
-    col: int
+# ``kind`` is "ident", "int", "keyword", "punct" or "eof".
+Token = namedtuple("Token", "kind text line col")
 
 
 # Blanks, newlines and ``//`` comments; possessive, so a comment is never
@@ -507,12 +504,9 @@ def parse_program(source: str) -> Program:
 
 # --- Scope validation ----------------------------------------------------
 
-@dataclass
-class ScopeError:
-    kind: str  # unknown-variable | unknown-method | global-local-clash | duplicate-method
-    name: str
-    line: int
-    col: int
+# ``kind`` is unknown-variable, unknown-method, global-local-clash or duplicate-method.
+class ScopeError(namedtuple("ScopeError", "kind name line col")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col} {self.kind}: {self.name}"

@@ -441,6 +441,16 @@ def test_module_entry_point_matches_in_process_output(capsys):
     assert result.stdout == "231\n"
 
 
+def test_cli_never_imports_typing():
+    # Each module the package imports adds to every cold start; ``typing`` was
+    # only ever needed to declare two record types.
+    code = ("import sys; sys.path.insert(0, 'src'); from priopost.cli import main; "
+            "main(['run', 'programs/priority_order.ap']); print('typing' in sys.modules)")
+    result = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "231\nFalse\n", "")
+
+
 def cli_result(capsys, *argv):
     """Exit code, stdout and stderr of one in-process ``main`` call."""
     try:

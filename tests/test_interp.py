@@ -938,6 +938,18 @@ def test_posted_nodes_are_asynch_nodes():
                 assert node == AsynchNode(*node) and repr(node) == repr(AsynchNode(*node)), path
 
 
+def test_budget_fault_at_dispatch_leaves_the_call_queued():
+    # Budget 7 stops TWO_POSTS just before its first dispatch, b(2): the fault
+    # names b(2)'s argument, and b(2) still heads the queue it was due from.
+    interp = Interpreter(parse_program(TWO_POSTS), budget=7)
+    out = interp.run()
+    assert (out.kind, out.line, out.col, interp.step_count) == (STEP_BUDGET_EXHAUSTED, 1, 49, 7)
+    assert tuple(interp.postlist) == (AsynchNode("b", IntLit(2), 2, Priority.HIGH),
+                                      AsynchNode("b", IntLit(1), 1, Priority.LOW))
+    assert json.loads(out.trace[-1]) == {"seq": 10, "kind": "error"}
+    check_trace(out.trace)
+
+
 def test_a_finished_run_raises_no_exception():
     # The drain ends because the three regions are empty, not on an exception
     # that the interpreter raises and catches.

@@ -2,8 +2,8 @@
 
 Covers tokenizer behavior, grammar productions, operator precedence and
 associativity, the parse/pretty-print round trip (hand-written cases plus a
-randomized corpus), parser totality on junk input, and every scope error
-kind.
+randomized corpus), parser totality on junk input, every scope error
+kind, and the contracts of the tree nodes and of the record types.
 """
 
 import json
@@ -15,19 +15,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from priopost import (
+    AnalysisReport,
     AssignGlobal,
     AssignLocal,
     Binary,
+    DeadPost,
     Expr,
+    Failed,
+    Finished,
     If,
     IntLit,
     Method,
     ParseError,
+    PostEdge,
+    PostGraph,
     Priority,
     Program,
     Provided,
     Return,
     Run,
+    ScopeError,
     Seq,
     Synch,
     Unary,
@@ -43,7 +50,8 @@ from priopost import (
     validate_scopes,
 )
 from priopost import syntax
-from priopost.syntax import I64_MAX, MAX_DEPTH, Node, Stmt, tokenize
+from priopost.postlist import AsynchNode
+from priopost.syntax import I64_MAX, MAX_DEPTH, Node, Stmt, Token, tokenize
 
 from progen import gen_large_source, gen_programs
 from refjson import ref_to_dict
@@ -271,6 +279,37 @@ def test_node_class_contract(cls):
     moved = replace(placed, **{name: -1 for name in names})
     assert (moved.line, moved.col) == (7, 3)
     assert not hasattr(placed, "__dict__")
+
+
+# Every record type, which is built once and never written, with its repr.
+RECORDS = [
+    (Token("ident", "g", 1, 8), "Token(kind='ident', text='g', line=1, col=8)"),
+    (ScopeError("unknown-variable", "y", 1, 28),
+     "ScopeError(kind='unknown-variable', name='y', line=1, col=28)"),
+    (Finished(706, []), "Finished(global_value=706, trace=[])"),
+    (Failed("provided-failed", 3, 5, []),
+     "Failed(kind='provided-failed', line=3, col=5, trace=[])"),
+    (AsynchNode("b", IntLit(2), 2, Priority.HIGH),
+     "AsynchNode(method='b', arg_expr=IntLit(value=2), arg_value=2, priority=<Priority.HIGH: 1>)"),
+    (PostEdge("a", "b", "post", Priority.LOW, 1, 23),
+     "PostEdge(src='a', dst='b', kind='post', priority=<Priority.LOW: 3>, line=1, col=23)"),
+    (DeadPost("log", 4, 5), "DeadPost(method='log', line=4, col=5)"),
+    (PostGraph(["a"], []), "PostGraph(vertices=['a'], edges=[])"),
+    (AnalysisReport({"a"}, [], PostGraph(["a"], [])),
+     "AnalysisReport(effect_free={'a'}, dead_posts=[], graph=PostGraph(vertices=['a'], edges=[]))"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_record_types_are_named_tuples(record, text):
+    assert repr(record) == text
+    assert record == tuple(record) and record._fields
+    with pytest.raises(AttributeError):
+        record.x = 1
+    # A subclass that forgets ``__slots__ = ()`` gives its instances a ``__dict__``.
+    assert not hasattr(record, "__dict__")
+    if type(record) in (PostEdge, DeadPost):
+        hash(record)
 
 
 # ------------------------------------------- precedence and associativity
