@@ -19,7 +19,9 @@ outright if its body contains:
 A method is effect-free when it is not disqualified and every method
 it runs or posts is effect-free, with no run/post cycle on the way (an
 effect-free posting cycle would repost forever and exhaust the step
-budget, so deleting it would change the outcome).
+budget, so deleting it would change the outcome), and its longest chain
+of ``run``s opens at most ``MAX_CALL_DEPTH`` activations (a dispatch, on
+an empty stack, of a deeper one faults ``call-depth-exceeded``).
 
 A flagged post must also have a fault-free argument expression, since
 deleting the post deletes the argument evaluation too; arguments
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 
+from .interp import MAX_CALL_DEPTH
 from .syntax import (
     AssignGlobal,
     Binary,
@@ -94,14 +97,14 @@ def dead_posts(program: Program) -> AnalysisReport:
     The report's ``graph`` holds every syntactic run/synch edge, reachable
     or not, and its ``effect_free`` the largest set of methods whose
     execution is unobservable.  That set is a worklist least fixpoint over
-    the graph: a quiet method joins once every method it runs or posts has
-    joined, so a method that reaches a cycle, a disqualified method or an
-    undeclared one never does.  Each edge is counted down once, with no
-    recursion, and the result does not depend on the order sets iterate
-    in.  A name declared twice (a scope error) is quiet when any
-    declaration is, and its last declaration gives its calls.
+    the graph: a quiet method joins once every method it runs or posts has joined,
+    if its depth (1 plus the deepest method it runs) is at most ``MAX_CALL_DEPTH``,
+    so one that reaches a cycle, a disqualified or undeclared method, or too deep a
+    run chain never does.  Each edge is counted down once, with no recursion, and the
+    result does not depend on the order sets iterate in.  A name declared twice (a scope
+    error) is quiet when any declaration is, and its last declaration gives its calls.
     """
-    edges, targets, quiet, synchs = [], {}, set(), []
+    edges, targets, runs, quiet, synchs = [], {}, {}, set(), []
     for m in program.methods:
         first = len(edges)
         loud = False
@@ -116,6 +119,7 @@ def dead_posts(program: Program) -> AnalysisReport:
             elif kind is AssignGlobal or kind is Provided or kind is While or _divides(node):
                 loud = True
         targets[m.name] = [e.dst for e in edges[first:]]
+        runs[m.name] = [e.dst for e in edges[first:] if e.kind == "run"]
         if not loud:
             quiet.add(m.name)
     waiting = {name: len(targets[name]) for name in quiet}
@@ -124,9 +128,12 @@ def dead_posts(program: Program) -> AnalysisReport:
         for t in targets[name]:
             callers[t].append(name)
     ready = [name for name, count in waiting.items() if count == 0]
-    free = set()
+    free, depth = set(), {}
     while ready:
         name = ready.pop()
+        depth[name] = 1 + max((depth[t] for t in runs[name]), default=0)
+        if depth[name] > MAX_CALL_DEPTH:  # its dispatch would fault call-depth-exceeded
+            continue
         free.add(name)
         for caller in callers[name]:
             waiting[caller] -= 1

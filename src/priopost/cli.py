@@ -18,7 +18,7 @@ from contextlib import suppress
 from .analysis import dead_posts
 from .interp import DEFAULT_BUDGET, Failed, Interpreter, trace_to_jsonl
 from .syntax import ParseError, Program, ast_to_json, parse_program, pretty_print, validate_scopes
-from .syntax import _pause_collector, _resume_collector
+from .syntax import _collector_paused
 from .syntax import ast_to_dict  # noqa: F401  (bench/spans.py's Tracer wraps it by this name)
 
 
@@ -124,27 +124,23 @@ def _arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused
 def main(argv=None) -> int:
     """Run one command and return its exit code; the cyclic collector is paused meanwhile."""
-    paused = []
-    try:
-        _pause_collector(paused)
-        args = _arg_parser().parse_args(argv)
-        program = _load_program(args.file)
-        if program is None:
-            return 2
-        if args.command == "run":  # run() checks scopes itself
-            return cmd_run(program, budget=args.budget, trace_path=args.trace,
-                           dump_final_store=args.dump_final_store)
-        errors = validate_scopes(program)
-        if errors:
-            print("\n".join(map(str, errors)), file=sys.stderr)
-            return 2
-        if args.command == "parse":
-            return cmd_parse(program, emit_ast=args.emit_ast)
-        return cmd_analyze(program)
-    finally:
-        _resume_collector(paused)
+    args = _arg_parser().parse_args(argv)
+    program = _load_program(args.file)
+    if program is None:
+        return 2
+    if args.command == "run":  # run() checks scopes itself
+        return cmd_run(program, budget=args.budget, trace_path=args.trace,
+                       dump_final_store=args.dump_final_store)
+    errors = validate_scopes(program)
+    if errors:
+        print("\n".join(map(str, errors)), file=sys.stderr)
+        return 2
+    if args.command == "parse":
+        return cmd_parse(program, emit_ast=args.emit_ast)
+    return cmd_analyze(program)
 
 
 def entry():

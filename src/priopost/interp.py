@@ -58,9 +58,8 @@ from .syntax import (
     Unary,
     Var,
     While,
+    _collector_paused,
     _json_scalar,
-    _pause_collector,
-    _resume_collector,
     validate_scopes,
 )
 
@@ -136,11 +135,12 @@ def _layout(kind: str, method: str | None, priority: Priority | None = None):
 
 
 class Interpreter:
-    """One program execution; fields are the live machine state.
+    """A program, a step budget and a trace flag; each ``run`` executes the program.
 
-    ``store``, ``postlist`` (a new ``AsynchList``; a run finishes when its three
-    regions are empty), ``stack``, ``step_count`` and ``trace`` stay inspectable
-    after ``run`` returns, which the test suite uses to audit terminal states.
+    Each ``run`` starts from the program's initial state, making ``store``, ``postlist``
+    (a new ``AsynchList``; a run finishes when its three regions are empty), ``stack``,
+    ``step_count`` and ``trace`` afresh: a second run equals a fresh interpreter's.
+    They stay inspectable after it returns, which the test suite uses to audit terminal states.
 
     ``trace`` holds one JSON line per event.  With ``trace=False`` none is
     made: ``trace`` stays ``[]`` and so does the outcome's, while the outcome,
@@ -150,9 +150,8 @@ class Interpreter:
     Code runs as closures, compiled lazily and never kept on the AST.
     ``run`` makes them as it starts and drops them as it returns or
     raises: they hold the interpreter, so a run leaves no cyclic garbage
-    (and pauses the cyclic collector while it goes), and a second
-    ``run`` compiles afresh.  The block (``Seq``)
-    is the unit of compilation and of step accounting: each method body
+    (and pauses the cyclic collector while it goes, scope check included).
+    The block (``Seq``) is the unit of compilation and of step accounting: each method body
     is one, and each ``if`` branch and ``while`` body one made when its
     statement is compiled.  A block compiles its own statements and
     their expressions the first time it runs, so code that never runs is
@@ -190,15 +189,8 @@ class Interpreter:
 
     def __init__(self, program: Program, budget: int = DEFAULT_BUDGET, trace: bool = True):
         self.program = program
-        self.methods = {m.name: m for m in program.methods}
         self.budget = budget
-        self.store = Store(0, {m.name: 0 for m in program.methods})
-        self.postlist = AsynchList()
-        self.stack: list[str] = []
-        self.step_count = 0
-        self.trace: list[str] = []
         self._tracing = trace
-        self._bodies = {}
 
     # -- expressions: each compiles to a closure returning the value --
 
@@ -393,23 +385,26 @@ class Interpreter:
 
     # -- activations and whole runs --
 
+    @_collector_paused
     def run(self) -> Outcome:
         """Startup phase, then drain until the three regions are empty."""
+        self.methods = {m.name: m for m in self.program.methods}
+        self.store = Store(0, dict.fromkeys(self.methods, 0))
+        self.postlist, self.stack, self.step_count, self.trace = AsynchList(), [], 0, []
         errors = validate_scopes(self.program)
         if errors:
             raise ValueError("\n".join(map(str, errors)))
+        bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
+                                 for m in self.program.methods}
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit
         # however deep the caller's stack is: MAX_DEPTH frames per activation,
         # and two activations' worth to compile a block (its own statements and
         # their expressions, never a nested block) and evaluate its deepest
         # expression.  The limit is process-wide, so runs in threads take turns.
         with _RUN_LOCK:
-            limit, paused = sys.getrecursionlimit(), []
+            limit = sys.getrecursionlimit()
             sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 2) * MAX_DEPTH)
             try:
-                _pause_collector(paused)
-                bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
-                                         for m in self.program.methods}
                 stack, budget, tracing, trace = self.stack, self.budget, self._tracing, self.trace
                 returns, dispatches = {}, {}  # trace texts, made at need when tracing
                 # Each activation, at startup and in the drain, is inline: push the
@@ -459,7 +454,6 @@ class Interpreter:
             finally:
                 self._bodies.clear()  # so that reference counting frees the run
                 sys.setrecursionlimit(limit)
-                _resume_collector(paused)
 
 
 # The compile function for each node type, called as ``f(interp, node, method)``.

@@ -45,6 +45,7 @@ operator), bisected from the line starts as the node is built.
 from __future__ import annotations
 
 import enum
+import functools
 import gc
 import json
 import re
@@ -362,8 +363,6 @@ class _Parser:
         if texts[start] != "{":
             self._expect("{")
         self.pos = start + 1
-        if depth >= MAX_DEPTH:
-            self._error("nesting too deep", index=start)
         inner = depth + 2
         stmts = []
         while (text := texts[pos := self.pos]) != "}":
@@ -476,30 +475,29 @@ class _Parser:
 _COLLECTOR_LOCK = threading.Lock()
 
 
-def _pause_collector(paused: list[bool]) -> None:
-    """Disable the collector, first appending to ``paused`` whether it was on.  Call it
-    inside the ``try`` whose ``finally`` resumes, so that no exit leaves it off."""
-    with _COLLECTOR_LOCK:
-        paused.append(gc.isenabled())
-        gc.disable()
+def _collector_paused(function):
+    """``function`` with the collector disabled while it runs, and enabled again
+    as it returns or raises if it was on when the call began."""
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = False
+        try:  # turned off inside the ``try``, so that no exit leaves it off
+            with _COLLECTOR_LOCK:
+                enabled = gc.isenabled()
+                gc.disable()
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                with _COLLECTOR_LOCK:
+                    gc.enable()
+    return paused
 
 
-def _resume_collector(paused: list[bool]) -> None:
-    """Enable the collector if ``_pause_collector`` found it on."""
-    if paused and paused[0]:
-        with _COLLECTOR_LOCK:
-            gc.enable()
-
-
+@_collector_paused
 def parse_program(source: str) -> Program:
     """Parse program text; raises ParseError (and nothing else) on bad input.
     The cyclic collector is paused while it runs."""
-    paused = []
-    try:
-        _pause_collector(paused)
-        return _Parser(source).parse_program()
-    finally:
-        _resume_collector(paused)
+    return _Parser(source).parse_program()
 
 
 # --- Scope validation ----------------------------------------------------

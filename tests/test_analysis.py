@@ -13,6 +13,7 @@ import random
 from priopost import (
     AssignGlobal,
     Binary,
+    DeadPost,
     Finished,
     IntLit,
     Priority,
@@ -27,6 +28,7 @@ from priopost import (
     run_program,
     validate_scopes,
 )
+from priopost.interp import CALL_DEPTH_EXCEEDED, MAX_CALL_DEPTH
 from priopost.syntax import walk
 
 from deadstrip import strip_dead_posts
@@ -244,6 +246,35 @@ def test_differential_on_random_corpus():
         trace = lambda out: [(e["method"], e["value"]) for e in events(out)
                              if e["kind"] == "assign-global"]
         assert trace(a) == trace(b)
+
+
+def run_chain_post(activations: int, posted: bool = True) -> str:
+    """``main`` posts ``q0``, whose dispatch runs ``q1`` and on down to the last
+    ``q``: ``activations`` methods open at once."""
+    lines = ["global g;", "meth main(x) { synch(q0(1), high); }" if posted else "meth main(x) { }"]
+    lines += [f"meth q{i}(x) {{ if x {{ run q{i + 1}(x); }} else {{ }} }}"
+              for i in range(activations - 1)]
+    return "\n".join(lines + [f"meth q{activations - 1}(x) {{ }}"])
+
+
+def test_post_past_the_call_depth_bound_is_not_flagged():
+    # A dispatch that opens one activation past MAX_CALL_DEPTH faults, so
+    # deleting its post would turn a failed run into a finished one.
+    for activations in (MAX_CALL_DEPTH, MAX_CALL_DEPTH + 1):
+        p = prog(run_chain_post(activations))
+        report = dead_posts(p)
+        fits = activations <= MAX_CALL_DEPTH
+        assert ("q0" in report.effect_free) is fits and "q1" in report.effect_free
+        assert report.dead_posts == ([DeadPost("q0", 2, 16)] if fits else [])
+        with_post, without = run_program(p), run_program(prog(run_chain_post(activations, False)))
+        assert isinstance(without, Finished) and without.global_value == 0
+        if fits:
+            assert isinstance(with_post, Finished) and with_post.global_value == 0
+        else:
+            assert with_post.kind == CALL_DEPTH_EXCEEDED
+        # The guarantee: stripping keeps the outcome, all but its trace.
+        stripped = run_program(strip_dead_posts(p, report))
+        assert type(stripped) is type(with_post) and stripped[:-1] == with_post[:-1]
 
 
 # ------------------------------------------------------------- properties

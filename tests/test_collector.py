@@ -17,7 +17,7 @@ from priopost import (
     AssignLocal, Failed, Finished, IntLit, Interpreter, Method, ParseError, Program, Seq, Var,
     While, parse_program,
 )
-from priopost import cli, syntax
+from priopost import cli, interp, syntax
 from priopost.cli import main
 from progen import gen_large_source
 from test_interp import ForeignStmt
@@ -79,6 +79,10 @@ def test_run_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
     assert type(ending(run(FAULT), enabled)) is Failed
     assert ending(run(FOREIGN_STMT), enabled) is KeyError
     assert ending(run(BARE_BODY), enabled) is TypeError
+    with monkeypatch.context() as patch:  # the scope check runs paused too
+        seen = interrupt(patch, interp, "validate_scopes")
+        assert ending(run(OK), enabled) is KeyboardInterrupt
+        assert seen == [False]
     seen = interrupt(monkeypatch, Interpreter, "_compile_block")
     assert ending(run(OK), enabled) is KeyboardInterrupt
     assert seen == [False]

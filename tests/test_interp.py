@@ -1138,17 +1138,24 @@ def test_trace_off_matches_trace_on():
             assert trace == []
 
 
-def test_second_run_returns_an_outcome():
-    # A run drops its compiled code when it returns, so a second run on the
-    # same interpreter compiles afresh and goes on from the state the first left.
+def test_a_second_run_is_a_fresh_run():
+    # Each run starts from the program's initial state: a second run on the
+    # same interpreter ends as a fresh interpreter's run does, and leaves the
+    # first run's outcome, trace included, as it was.
     texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.ap"))]
     texts += [pretty_print(p) for p in gen_programs(seed=9753, count=30)]
     for text in texts:
+        program = parse_program(text)
         for budget in (50, DEFAULT_BUDGET):
             for trace in (True, False):
-                interp = Interpreter(parse_program(text), budget=budget, trace=trace)
-                interp.run()
-                assert isinstance(interp.run(), (Finished, Failed)), text
+                interp = Interpreter(program, budget=budget, trace=trace)
+                first = interp.run()
+                first_trace = list(first.trace)
+                second = interp.run()
+                fresh = Interpreter(program, budget=budget, trace=trace)
+                assert second == fresh.run() and first.trace == first_trace, text
+                assert (interp.step_count, interp.store, interp.trace, tuple(interp.postlist)) \
+                    == (fresh.step_count, fresh.store, fresh.trace, tuple(fresh.postlist)), text
 
 
 # ------------------------------------------------------------------ memory
