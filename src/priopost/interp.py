@@ -150,7 +150,7 @@ class Interpreter:
     Code runs as closures, compiled lazily and never kept on the AST.
     ``run`` makes them as it starts and drops them as it returns or
     raises: they hold the interpreter, so a run leaves no cyclic garbage
-    (and pauses the cyclic collector while it goes, scope check included).
+    (and pauses the cyclic collector while it goes, tree check included).
     The block (``Seq``) is the unit of compilation and of step accounting: each method body
     is one, and each ``if`` branch and ``while`` body one made when its
     statement is compiled.  A block compiles its own statements and
@@ -165,13 +165,10 @@ class Interpreter:
     it; a block, ``if`` or ``while`` returns it at once, and the open
     activation pops its frame and emits ``return`` either way.  A fault
     raises ``ExecFailure`` with its node, read only to build ``Failed``.
-    ``run`` (not the constructor) raises ``ValueError``, one error to a line,
-    exactly when ``validate_scopes`` rejects the tree, before its first step.
-    It rejects a tree the grammar cannot express when the block holding it
-    first compiles, before any of that block's statements run: like
-    ``pretty_print``, ``KeyError`` for a foreign statement (a block, say),
-    and ``TypeError`` for a branch or body that is not a ``Seq`` or a
-    literal that is not an ``int``.
+    ``run`` (not the constructor) checks the tree with ``validate_scopes`` before
+    its first step, raising its ``TypeError`` for a tree the grammar cannot express
+    and ``ValueError``, one error to a line, when it returns errors.  So compiling
+    meets no foreign node, and no node deeper than ``MAX_DEPTH``.
 
     A binary operator compiles to a closure chosen by its operator class
     and operand shape.  A literal right operand is bound as a constant,
@@ -196,8 +193,6 @@ class Interpreter:
 
     def _compile_int(self, expr: IntLit, method: str):
         value = expr.value
-        if type(value) is not int:  # only a hand-built tree holds one; a trace writes ints
-            raise TypeError(f"not an int literal: {expr!r}")
         return lambda: value
 
     def _compile_var(self, expr: Var, method: str):
@@ -223,7 +218,7 @@ class Interpreter:
         op = expr.op
         lhs, rhs, store = expr.left, expr.right, self.store
         cells, glob, local = store.locals, self.program.global_name, self.methods[method].local
-        k = rhs.value if type(rhs) is IntLit and type(rhs.value) is int else None
+        k = rhs.value if type(rhs) is IntLit else None
         own = k is not None and type(lhs) is Var and lhs.name == local
         left = None if own else _EXPR[type(lhs)](self, lhs, method)
         right = None if k is not None else _EXPR[type(rhs)](self, rhs, method)
@@ -273,8 +268,6 @@ class Interpreter:
 
     def _compile_block(self, block: Seq, method: str):
         """A closure that compiles ``block``'s statements the first time it runs."""
-        if type(block) is not Seq:
-            raise TypeError(f"not a block: {block!r}")
         budget = self.budget
         code = None
 
@@ -388,12 +381,13 @@ class Interpreter:
     @_collector_paused
     def run(self) -> Outcome:
         """Startup phase, then drain until the three regions are empty."""
-        self.methods = {m.name: m for m in self.program.methods}
-        self.store = Store(0, dict.fromkeys(self.methods, 0))
-        self.postlist, self.stack, self.step_count, self.trace = AsynchList(), [], 0, []
+        self.store, self.postlist, self.stack, self.step_count, self.trace = (
+            Store(), AsynchList(), [], 0, [])
         errors = validate_scopes(self.program)
         if errors:
             raise ValueError("\n".join(map(str, errors)))
+        self.methods = {m.name: m for m in self.program.methods}
+        self.store.locals.update(dict.fromkeys(self.methods, 0))
         bodies = self._bodies = {m.name: self._compile_block(m.body, m.name)
                                  for m in self.program.methods}
         # The recursion limit is raised so that MAX_CALL_DEPTH activations fit

@@ -53,7 +53,7 @@ import threading
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 
 I64_MIN = -(2**63)
@@ -287,13 +287,13 @@ _PREC = {
 _UNARY_PREC = 7
 
 MAX_DEPTH = 100
-"""Deepest nesting ``parse_program`` accepts, so that no recursive
-consumer of the tree (printer, AST JSON, interpreter) runs out of Python
-stack.  A method body is level 1, and every block, statement, operator,
-literal, variable and parenthesised group is one level below the
-construct it is written in; a left-associative chain ``a + b + c``
-counts one level per operator.  Deeper input is a ``ParseError``
-``nesting too deep`` at the token that crosses the bound."""
+"""Deepest nesting ``parse_program`` and ``validate_scopes`` accept, so that
+no recursive consumer of a tree they accept runs out of Python stack.  A
+method body is level 1, and every block, statement, operator, literal,
+variable and parenthesised group is one level below the construct it is
+written in; a chain ``a + b + c`` counts one level per operator.  Deeper
+input is a ``ParseError`` ``nesting too deep`` at the token that crosses the
+bound, and a deeper tree a ``TypeError``."""
 
 
 class _Parser:
@@ -542,30 +542,68 @@ def walk(node: Node) -> list[Node]:
 
 
 def validate_scopes(program: Program) -> list[ScopeError]:
-    """Check every name in the program; returns all violations, not just the first.
+    """Check that the program is a tree the grammar can express, and every
+    name in it; returns all name violations, not just the first.
 
-    A variable must be the program global or the enclosing method's
-    local; run/synch targets must be declared methods; a local may not
-    shadow the global; method names must be unique.
+    The first tree fault raises ``TypeError``: no method, a node of no exact
+    node type, a block that is not a ``Seq`` or a ``Seq`` that is not a block,
+    a priority that is not a ``Priority``, an operator outside the grammar, a
+    literal that is not an ``int`` in ``0..I64_MAX``, or a node (in a cycle,
+    say) deeper than ``MAX_DEPTH``.  A variable must be the global or the
+    method's local, run/synch targets declared methods, method names unique,
+    and no local the global.  One pass, in ``walk``'s order, on its own stacks.
     """
-    errors: list[ScopeError] = []
-    method_names = set()
+    if type(program) is not Program or not program.methods:
+        raise TypeError("not a program with a method")
+    glob, errors, names = program.global_name, [], set()
     for m in program.methods:
-        if m.name in method_names:
+        if type(m) is not Method or type(m.body) is not Seq:
+            raise TypeError(f"not a method with a block: {type(m).__name__}")
+        if m.name in names:
             errors.append(ScopeError("duplicate-method", m.name, m.line, m.col))
-        method_names.add(m.name)
-        if m.local == program.global_name:
+        names.add(m.name)
+        if m.local == glob:
             errors.append(ScopeError("global-local-clash", m.local, m.line, m.col))
-
     for m in program.methods:
-        for node in walk(m.body):
-            kind = type(node)
-            if ((kind is Var and node.name not in (program.global_name, m.local))
-                    or (kind is AssignGlobal and node.name != program.global_name)
-                    or (kind is AssignLocal and node.name != m.local)):
-                errors.append(ScopeError("unknown-variable", node.name, node.line, node.col))
-            elif (kind is Run or kind is Synch) and node.method not in method_names:
-                errors.append(ScopeError("unknown-method", node.method, node.line, node.col))
+        local, todo = m.local, [*zip(reversed(m.body.stmts), repeat(2))]
+        while todo:  # statements and their levels; a statement's expression is walked at once
+            stmt, level = todo.pop()
+            kind = type(stmt)
+            if kind is AssignGlobal or kind is AssignLocal or kind is Provided:
+                if kind is not Provided and stmt.name != (glob if kind is AssignGlobal else local):
+                    errors.append(ScopeError("unknown-variable", stmt.name, stmt.line, stmt.col))
+                expr = stmt.expr
+            elif kind is If or kind is While:
+                for block in (stmt.orelse, stmt.then) if kind is If else (stmt.body,):
+                    if type(block) is not Seq:
+                        raise TypeError(f"not a block: {type(block).__name__}")
+                    todo += zip(reversed(block.stmts), repeat(level + 2))  # at the cond's level
+                expr = stmt.cond
+            elif kind is Run or kind is Synch:
+                if kind is Synch and type(stmt.priority) is not Priority:
+                    raise TypeError(f"not a priority: {type(stmt.priority).__name__}")
+                if stmt.method not in names:
+                    errors.append(ScopeError("unknown-method", stmt.method, stmt.line, stmt.col))
+                expr = stmt.arg
+            elif kind is Return and level <= MAX_DEPTH:
+                continue
+            else:
+                raise TypeError(f"not a statement, or deeper than MAX_DEPTH: {kind.__name__}")
+            exprs = [(expr, level + 1)]
+            while exprs:
+                expr, level = exprs.pop()
+                kind = type(expr)
+                if level > MAX_DEPTH:
+                    raise TypeError(f"nesting deeper than MAX_DEPTH: {kind.__name__}")
+                if kind is Var:
+                    if expr.name != glob and expr.name != local:
+                        errors.append(ScopeError("unknown-variable", expr.name, expr.line, expr.col))
+                elif kind is Binary and expr.op in _PREC:
+                    exprs += ((expr.right, level + 1), (expr.left, level + 1))
+                elif kind is Unary and (expr.op == "-" or expr.op == "!"):
+                    exprs.append((expr.operand, level + 1))
+                elif kind is not IntLit or type(expr.value) is not int or not 0 <= expr.value <= I64_MAX:
+                    raise TypeError(f"not an expression the grammar can express: {kind.__name__}")
     return errors
 
 
@@ -574,15 +612,14 @@ def validate_scopes(program: Program) -> list[ScopeError]:
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
     """Render an expression with the minimum parentheses that reparse equal."""
     kind = type(e)
-    if kind is Binary:
-        prec = _PREC[e.op]
+    if kind is Binary and (prec := _PREC.get(e.op)):
         text = f"{format_expr(e.left, prec)} {e.op} {format_expr(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if kind is Var:
         return e.name
     if kind is IntLit and type(e.value) is int and 0 <= e.value <= I64_MAX:
         return str(e.value)
-    if kind is Unary:
+    if kind is Unary and (e.op == "-" or e.op == "!"):
         text = e.op + format_expr(e.operand, _UNARY_PREC)
         return f"({text})" if _UNARY_PREC < parent_prec else text
     raise TypeError(f"not an expression the grammar can express: {e!r}")
@@ -603,7 +640,7 @@ def _format_block(block: Seq, pad: str, out: list[str]):
             _format_block(s.then, inner, out)
             out.append(" else ")
             _format_block(s.orelse, inner, out)
-        elif kind is Synch:
+        elif kind is Synch and type(s.priority) is Priority:
             out.append(f"\n{inner}synch({s.method}({format_expr(s.arg)}), {s.priority.keyword});")
         elif kind is Run:
             out.append(f"\n{inner}run {s.method}({format_expr(s.arg)});")
@@ -622,10 +659,8 @@ def _format_block(block: Seq, pad: str, out: list[str]):
 def pretty_print(program: Program) -> str:
     """Emit canonical source text; reparsing it yields an equal AST.
 
-    A tree the grammar cannot express (a program without methods, a ``Seq``
-    used as a statement, an ``if`` or ``while`` branch that is not a ``Seq``,
-    a literal that is not an ``int`` in ``0..I64_MAX``, a foreign node)
-    raises ``TypeError``.
+    A tree ``validate_scopes`` rejects raises ``TypeError`` here too, unless
+    it is only too deep: this printer recurses and checks no depth.
     """
     if type(program) is not Program or not program.methods:
         raise TypeError(f"not a program with a method: {program!r}")

@@ -26,7 +26,7 @@ OK = "global g; meth m(x) { g := g + 1; }"
 BAD_SYNTAX = "global g; meth m(x) { g := ; }"
 SCOPE_ERROR = "global g; meth m(x) { g := y; }"
 FAULT = "global g; meth m(x) { g := 1 / x; }"
-FOREIGN_STMT = Program("g", [Method("m", "x", Seq([ForeignStmt()]))])  # KeyError
+FOREIGN_STMT = Program("g", [Method("m", "x", Seq([ForeignStmt()]))])  # TypeError
 BARE_BODY = Program("g", [Method("m", "x", Seq([While(Var("x"), AssignLocal("x", IntLit(0)))]))])
 
 ENTRY_STATES = pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -77,7 +77,7 @@ def test_run_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
     assert type(ending(run(OK), enabled)) is Finished
     assert ending(run(SCOPE_ERROR), enabled) is ValueError
     assert type(ending(run(FAULT), enabled)) is Failed
-    assert ending(run(FOREIGN_STMT), enabled) is KeyError
+    assert ending(run(FOREIGN_STMT), enabled) is TypeError
     assert ending(run(BARE_BODY), enabled) is TypeError
     with monkeypatch.context() as patch:  # the scope check runs paused too
         seen = interrupt(patch, interp, "validate_scopes")
@@ -105,7 +105,7 @@ def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypa
     assert ending(cli_call("run"), enabled) is SystemExit  # argparse
     with monkeypatch.context() as patch:
         patch.setattr(cli, "parse_program", lambda source: FOREIGN_STMT)
-        assert ending(cli_call("run", files["ok"]), enabled) is KeyError
+        assert ending(cli_call("run", files["ok"]), enabled) is TypeError
     seen = interrupt(monkeypatch, cli, "dead_posts")
     assert ending(cli_call("analyze", files["ok"]), enabled) is KeyboardInterrupt
     assert seen == [False]

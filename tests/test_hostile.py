@@ -9,21 +9,33 @@ every CLI call, on these programs and on mangled copies of them and of
 other sources, must exit 0, 1 or 2 without a traceback, and write a
 ``--trace`` file that passes ``check_trace``; stripping the dead posts of a program that
 finishes must not change what it does; and no run may leave cyclic
-garbage.
+garbage.  A hand-built tree the grammar cannot express, its fault in code
+that runs or in a branch that never does, is rejected with ``TypeError``
+before the first step.
 """
 
 import random
 import re
+from collections import Counter
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
 from priopost import (
     DEFAULT_BUDGET,
+    Binary,
     Failed,
     Finished,
+    If,
+    IntLit,
     Interpreter,
     ParseError,
+    Return,
+    Seq,
+    Synch,
+    Unary,
+    Var,
     dead_posts,
     parse_program,
     pretty_print,
@@ -39,13 +51,15 @@ from priopost.interp import (
     PROVIDED_FAILED,
     STEP_BUDGET_EXHAUSTED,
 )
-from priopost.syntax import KEYWORDS
+from priopost.syntax import I64_MAX, KEYWORDS, MAX_DEPTH, Node
 from deadstrip import strip_dead_posts
 from progen import gen_hostile_cases, gen_programs
 from refjson import events
 from refqueues import audit
 from reftrace import check_trace
-from test_interp import cyclic_garbage, observe, reference_jsonl
+from test_interp import (
+    ForeignExpr, ForeignStmt, assert_tree_rejected, cyclic_garbage, observe, reference_jsonl,
+)
 
 CASES = gen_hostile_cases(seed=2323, count=1000)
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -252,3 +266,96 @@ def test_untraced_runs_make_no_trace_text(programs, monkeypatch):
     for program, budget in runs:
         out = Interpreter(program, budget=budget, trace=False).run()
         assert type(out) in (Finished, Failed) and out.trace == [], pretty_print(program)
+
+
+@dataclass
+class OddVar(Var):
+    """An instance of a subclass of a node class, so of no exact node type."""
+
+
+def too_deep(child):
+    for _ in range(MAX_DEPTH):
+        child = Unary("-", child)
+    return child
+
+
+# For each role a child can have, the faults that replace it: each maker
+# takes the child and the program's first method name.
+TREE_FAULTS = {
+    "expr": {
+        "foreign-expression": lambda child, name: ForeignExpr(),
+        "subclass": lambda child, name: OddVar("g"),
+        "statement-as-expression": lambda child, name: Return(),
+        "block-as-expression": lambda child, name: Seq([]),
+        "binary-operator": lambda child, name: Binary("<>", child, IntLit(1)),
+        "unary-operator": lambda child, name: Unary("~", child),
+        "past-i64": lambda child, name: IntLit(I64_MAX + 1),
+        "negative": lambda child, name: IntLit(-1),
+        "bool": lambda child, name: IntLit(True),
+        "too-deep": lambda child, name: too_deep(child),
+    },
+    "stmt": {
+        "foreign-statement": lambda child, name: ForeignStmt(),
+        "block-as-statement": lambda child, name: Seq([child]),
+        "expression-as-statement": lambda child, name: Var("g"),
+        "string-priority": lambda child, name: Synch(name, IntLit(1), "low"),
+    },
+    "block": {
+        "bare-branch": lambda child, name: child.stmts[0] if child.stmts else Return(),
+    },
+}
+
+
+def child_slots(block: Seq) -> list[tuple[object, object, str]]:
+    """Each child slot under ``block`` as ``(holder, key, role)``: a block's
+    statement list and an index ("stmt"), or a node and a field name
+    ("block" or "expr")."""
+    slots, todo = [], [block]
+    while todo:
+        node = todo.pop()
+        if type(node) is Seq:
+            slots += [(node.stmts, i, "stmt") for i in range(len(node.stmts))]
+            todo += node.stmts
+            continue
+        for field in fields(node):
+            child = getattr(node, field.name)
+            if isinstance(child, Node):
+                slots.append((node, field.name, "block" if type(child) is Seq else "expr"))
+                todo.append(child)
+    return slots
+
+
+def test_hand_built_tree_faults_are_rejected_before_the_first_step():
+    # Progen programs, each with one child replaced by a tree fault; every
+    # other mutant first moves a statement into ``if 0 { ... }``, a branch
+    # that never runs, and puts the fault there.  Each fault is rejected by
+    # validate_scopes and by run(), before its first step, with TypeError,
+    # and by pretty_print too unless it is only too deep.
+    rng = random.Random(2328)
+    faults = [(role, name) for role, makers in TREE_FAULTS.items() for name in makers]
+    seen = Counter()
+    for i, program in enumerate(gen_programs(seed=2329, count=1000)):
+        bodies = [m.body for m in program.methods if m.body.stmts]
+        if not bodies:
+            continue
+        body, dead = rng.choice(bodies), i % 2 == 1
+        if dead:
+            k = rng.randrange(len(body.stmts))
+            branch = Seq([body.stmts[k]])
+            body.stmts[k], body = If(IntLit(0), branch, Seq([])), branch
+        slots = child_slots(body)
+        role, name = rng.choice([f for f in faults if any(s[2] == f[0] for s in slots)])
+        holder, key, _ = rng.choice([s for s in slots if s[2] == role])
+        if type(key) is int:
+            holder[key] = TREE_FAULTS[role][name](holder[key], program.methods[0].name)
+        else:
+            setattr(holder, key, TREE_FAULTS[role][name](getattr(holder, key),
+                                                         program.methods[0].name))
+        assert_tree_rejected(program)
+        if name != "too-deep":  # the printer checks all but depth
+            with pytest.raises(TypeError):
+                pretty_print(program)
+        seen[name, dead] += 1
+    # Every fault, in code that may run and in code that never does.
+    assert len(seen) == 2 * len(faults), seen
+    assert sum(seen.values()) >= 900

@@ -2,8 +2,9 @@
 dispatch order, snapshots, stack discipline, failures, and the trace format.
 
 Programs are written as source text and parsed, so these tests exercise the
-whole front end; only the foreign-node, grammar-rejection, shared-node and
-out-of-scope-leaf tests build their trees by hand.
+whole front end; only the foreign-node, grammar-rejection, depth,
+lazy-compilation, shared-node and out-of-scope-leaf tests build their trees
+by hand.
 Outcomes and traces are checked against hand-computed values.
 """
 
@@ -36,10 +37,12 @@ from priopost import (
     Priority,
     Program,
     Provided,
+    Return,
     Run,
     Seq,
     Stmt,
     Synch,
+    Unary,
     Var,
     While,
     parse_program,
@@ -51,6 +54,7 @@ from priopost import (
 from priopost import syntax
 from priopost.cli import main
 from priopost.interp import (
+    _STMT,
     ARITH_OVERFLOW,
     CALL_DEPTH_EXCEEDED,
     DIVISION_BY_ZERO,
@@ -91,6 +95,17 @@ def assert_scope_rejected(program: Program, message: str):
     with pytest.raises(ValueError) as raised:
         interp.run()
     assert str(raised.value) == message
+    assert interp.step_count == 0 and interp.trace == []
+
+
+def assert_tree_rejected(program: Program):
+    """``validate_scopes`` and ``run()`` raise ``TypeError``, ``run()`` before its
+    first step; any other exception fails the test."""
+    with pytest.raises(TypeError):
+        validate_scopes(program)
+    interp = Interpreter(program)
+    with pytest.raises(TypeError):
+        interp.run()
     assert interp.step_count == 0 and interp.trace == []
 
 
@@ -819,21 +834,20 @@ def test_jsonl_escapes_hand_built_events(name):
     assert trace_to_jsonl(out) == reference_jsonl(out)
 
 
-@pytest.mark.parametrize("value", [2**70, -2**70, True, 1.5], ids=repr)
+@pytest.mark.parametrize("value", [2**70, -2**70, True, 1.5, I64_MAX], ids=repr)
 def test_jsonl_writes_hand_built_literals(value):
-    # Only a hand-built tree holds such a literal.  An int outside i64 is still
-    # JSON at each site that writes a value; anything but an int is rejected
-    # where it compiles, before the trace could write it as Python does.
+    # Only a hand-built tree holds such a literal.  One the grammar cannot
+    # express is rejected before the first step, so no trace writes it as
+    # Python does; the largest it can is JSON at each site that writes a value.
     method = Method("m", "x", Seq([If(
         Var("x"),
         Seq([AssignGlobal("g", Var("x"))]),
         Seq([Run("m", IntLit(value)), Synch("m", IntLit(value), Priority.LOW)]))]))
-    interp = Interpreter(Program("g", [method]))
-    if type(value) is not int:
-        with pytest.raises(TypeError):
-            interp.run()
+    program = Program("g", [method])
+    if type(value) is not int or not 0 <= value <= I64_MAX:
+        assert_tree_rejected(program)
         return
-    out = interp.run()
+    out = Interpreter(program).run()
     assert trace_to_jsonl(out) == reference_jsonl(out)
     assert [(e["kind"], e["value"]) for e in events(out) if "value" in e] == [
         ("run-call", value), ("assign-global", value), ("post", value),
@@ -995,40 +1009,93 @@ class ForeignExpr(Expr):
     AssignGlobal("g", Binary("**", IntLit(2), IntLit(3))),
 ], ids=["statement", "expression", "operator"])
 def test_foreign_node_raises_instead_of_an_outcome(stmt):
-    program = Program("g", [Method("m", "x", Seq([stmt]))])
-    with pytest.raises(KeyError):
-        Interpreter(program).run()
+    assert_tree_rejected(Program("g", [Method("m", "x", Seq([stmt]))]))
 
 
-@pytest.mark.parametrize("body,error", [
-    (Seq([Seq([AssignGlobal("g", IntLit(1))])]), KeyError),
-    (Seq([If(Var("x"), AssignGlobal("g", IntLit(1)), Seq([]))]), TypeError),
-    (Seq([If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1)))]), TypeError),
-    (Seq([While(Var("x"), AssignLocal("x", IntLit(0)))]), TypeError),
-    (AssignGlobal("g", IntLit(1)), TypeError),
-    (Seq([AssignGlobal("g", Binary("+", Var("g"), IntLit(True)))]), TypeError),
-], ids=["block-as-statement", "then", "else", "while", "body", "bool-operand"])
-def test_interpreter_rejects_trees_the_grammar_cannot_express(body, error):
-    # As pretty_print does: a block is no statement, and a branch or body
-    # is always a block.  A literal is an int, as the trace writes it.
-    # The tree is compiled by ``run``, not by the constructor.
-    interp = Interpreter(Program("g", [Method("m", "x", body)]))
-    with pytest.raises(error):
-        interp.run()
+def _cycle():
+    """A negation that is its own operand: a tree of unbounded depth."""
+    node = Unary("-", IntLit(1))
+    node.operand = node
+    return node
+
+
+def _body(*stmts: Stmt) -> list[Method]:
+    return [Method("m", "x", Seq(list(stmts)))]
+
+
+@pytest.mark.parametrize("methods", [
+    _body(Seq([AssignGlobal("g", IntLit(1))])),
+    _body(If(Var("x"), AssignGlobal("g", IntLit(1)), Seq([]))),
+    _body(If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1)))),
+    _body(While(Var("x"), AssignLocal("x", IntLit(0)))),
+    [Method("m", "x", AssignGlobal("g", IntLit(1)))],
+    _body(AssignGlobal("g", Binary("+", Var("g"), IntLit(True)))),
+    _body(AssignGlobal("g", IntLit(2**70))),
+    _body(AssignGlobal("g", IntLit(-5))),
+    _body(AssignGlobal("g", Unary("~", IntLit(0)))),
+    _body(AssignGlobal("g", Binary("<>", IntLit(1), IntLit(2)))),
+    _body(Synch("m", IntLit(1), "high")),
+    _body(AssignGlobal("g", Seq([]))),
+    _body(If(IntLit(0), Seq([While(Var("x"), AssignLocal("x", IntLit(0)))]), Seq([]))),
+    _body(AssignGlobal("g", _cycle())),
+    [],
+], ids=["block-as-statement", "then", "else", "while", "body", "bool-operand", "past-i64",
+        "negative", "tilde", "foreign-binary-op", "string-priority", "block-as-expression",
+        "in-code-that-never-runs", "cycle", "no-method"])
+def test_interpreter_rejects_trees_the_grammar_cannot_express(methods):
+    # As pretty_print does: a block is no statement, a branch or body is
+    # always a block, a literal is an int in 0..I64_MAX, and an operator or
+    # priority is one the grammar writes.  The whole tree is checked before
+    # the first step, code that never runs included.
+    assert_tree_rejected(Program("g", methods))
 
 
 @pytest.mark.parametrize("stmt", [
-    If(IntLit(0), Seq([ForeignStmt()]), Seq([])),
-    If(IntLit(1), Seq([]), Seq([ForeignStmt()])),
-    While(IntLit(0), Seq([ForeignStmt()])),
+    If(IntLit(0), Seq([AssignGlobal("g", IntLit(1))]), Seq([])),
+    If(IntLit(1), Seq([]), Seq([AssignGlobal("g", IntLit(1))])),
+    While(IntLit(0), Seq([AssignGlobal("g", IntLit(1))])),
 ], ids=["then", "else", "while"])
-def test_code_that_never_runs_is_never_compiled(stmt):
-    program = Program("g", [Method("m", "x", Seq([stmt]))])
+def test_code_that_never_runs_is_never_compiled(monkeypatch, stmt):
+    # Each statement closure compiled is counted by its node type: the
+    # statement that follows compiles, and the branch or body that never
+    # runs compiles none.
+    compiled = []
+    for kind, compile_stmt in list(_STMT.items()):
+        monkeypatch.setitem(_STMT, kind, lambda interp, node, method, f=compile_stmt:
+                            compiled.append(type(node)) or f(interp, node, method))
+    program = Program("g", _body(stmt, AssignGlobal("g", IntLit(2))))
     out = Interpreter(program).run()
-    assert (type(out), out.global_value) == (Finished, 0)
-    assert events(out) == [{"seq": 1, "kind": "method-start", "method": "m"},
-                           {"seq": 2, "kind": "return", "method": "m"},
-                           {"seq": 3, "kind": "method-end", "method": "m"}]
+    assert (type(out), out.global_value) == (Finished, 2)
+    assert compiled == [type(stmt), AssignGlobal]
+
+
+def _deepest_at(levels: int) -> list[Program]:
+    """Two trees whose deepest node is at ``levels``: a chain of ``!`` under
+    ``g :=``, and taken ``if``s nested around ``return();`` or ``g := 1;``."""
+    chain = IntLit(0)
+    for _ in range(levels - 3):  # the assignment is level 2, its expression 3
+        chain = Unary("!", chain)
+    block = Seq([Return() if levels % 2 == 0 else AssignGlobal("g", IntLit(1))])
+    for _ in range((levels - 2 - levels % 2) // 2):  # each if is two levels
+        block = Seq([If(IntLit(1), block, Seq([]))])
+    return [Program("g", _body(AssignGlobal("g", chain))), Program("g", [Method("m", "x", block)])]
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH, MAX_DEPTH + 1, 400, 120_000])
+def test_depth_is_checked_before_the_first_step(levels):
+    # Up to MAX_DEPTH a tree runs, and its printed text reparses to it; past
+    # it the parser rejects that text, and run() raises TypeError before its
+    # first step, never RecursionError, however deep the tree.
+    for program in _deepest_at(levels):
+        if levels <= MAX_DEPTH:
+            assert validate_scopes(program) == []
+            assert type(Interpreter(program).run()) is Finished
+            assert parse_program(pretty_print(program)) == program
+            continue
+        assert_tree_rejected(program)
+        if levels == MAX_DEPTH + 1:
+            with pytest.raises(ParseError, match="nesting too deep"):
+                parse_program(pretty_print(program))
 
 
 @pytest.mark.parametrize("src, message", [
@@ -1203,6 +1270,6 @@ def test_runs_leave_no_cyclic_garbage():
         except error:
             return  # the exception, its traceback and their frames go here
         pytest.fail("no error")
-    for stmt, error in ((ForeignStmt(), KeyError),
+    for stmt, error in ((ForeignStmt(), TypeError),
                         (While(Var("x"), AssignLocal("x", IntLit(0))), TypeError)):
         assert cyclic_garbage(lambda: foreign(stmt, error)) == 0, stmt

@@ -412,15 +412,24 @@ def _one_method(stmt: Stmt) -> Program:
     _one_method(If(Var("x"), Seq([]), AssignGlobal("g", IntLit(1)))),
     _one_method(While(Var("x"), AssignLocal("x", IntLit(0)))),
     Program("g", []),
-], ids=["block-as-statement", "then", "else", "while", "no-method"])
+    _one_method(Synch("m", IntLit(1), "high")),
+], ids=["block-as-statement", "then", "else", "while", "no-method", "string-priority"])
 def test_pretty_print_rejects_trees_the_grammar_cannot_express(program):
     # A bare block is no statement ("expected statement" on reparse), a
     # branch that is not a Seq would print as a block and reparse as one,
-    # and a program needs a method ("expected 'meth'" on reparse).
+    # a program needs a method ("expected 'meth'" on reparse), and a
+    # priority is a Priority.
     with pytest.raises(TypeError):
         pretty_print(program)
-    # The JSON form states such trees as they are.
-    assert ast_to_json(program) == json.dumps(ref_to_dict(program))
+    # The JSON form states such trees as they are, and fails as the
+    # reference does on a priority with no keyword to write.
+    try:
+        expected = json.dumps(ref_to_dict(program))
+    except AttributeError:
+        with pytest.raises(AttributeError):
+            ast_to_json(program)
+    else:
+        assert ast_to_json(program) == expected
 
 
 # --------------------------------------------------------------- positions
@@ -734,8 +743,11 @@ def test_ast_to_dict_rejects_foreign_nodes(node):
     Foreign(),
     Subclassed("+", IntLit(1), IntLit(2)),
     Binary("*", Subclassed("+", IntLit(1), IntLit(2)), IntLit(3)),
-], ids=["foreign-node", "subclass", "subclass-inside"])
+    Unary("~", IntLit(0)),
+    Binary("<>", IntLit(1), IntLit(2)),
+], ids=["foreign-node", "subclass", "subclass-inside", "foreign-unary-op", "foreign-binary-op"])
 def test_printers_take_exact_node_types_only(node):
+    # An operator is one of the grammar's too: ``~0`` would print and not parse.
     with pytest.raises(TypeError):
         format_expr(node)
     with pytest.raises(TypeError):
